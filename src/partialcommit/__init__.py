@@ -21,6 +21,7 @@ from .errors import (
     GameError,
     InvalidInstance,
     InvalidParams,
+    NonFiniteNumber,
     PartitionInvalid,
     ScaleGuardExceeded,
     UnboundedPolytope,

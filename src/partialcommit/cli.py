@@ -296,8 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # the parser is a reference cycle; dropping it before the command runs
+    # lets the next young-generation collection free it
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except GameError as exc:

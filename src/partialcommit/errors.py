@@ -14,6 +14,10 @@ class DimensionMismatch(GameError):
     """Payoff matrices or profiles have incompatible shapes."""
 
 
+class NonFiniteNumber(GameError):
+    """A payoff or probability is NaN or infinite."""
+
+
 class EmptyGame(GameError):
     """A game needs at least one row and one column."""
 

@@ -16,6 +16,7 @@ like ``"19/3"``); callers convert to floats when they want float mode.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -23,6 +24,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (
     DimensionMismatch,
     EmptyGame,
+    NonFiniteNumber,
     PartitionInvalid,
     UniverseMismatch,
 )
@@ -49,6 +51,8 @@ def parse_number(token) -> Fraction:
     if isinstance(token, (int, Fraction)):
         return Fraction(token)
     if isinstance(token, float):
+        if not math.isfinite(token):
+            raise NonFiniteNumber(f"not a finite number: {token!r}")
         # repr() round-trips the shortest decimal form, which is what the
         # user wrote in the file for ordinary literals.
         return Fraction(repr(token))
@@ -198,6 +202,11 @@ class Game:
             raise DimensionMismatch("row_labels length must equal the row count")
         if self.col_labels is not None and len(self.col_labels) != n:
             raise DimensionMismatch("col_labels length must equal the column count")
+        for name, matrix in (("u1", self.u1), ("u2", self.u2)):
+            for row in matrix:
+                for x in row:
+                    if isinstance(x, float) and not math.isfinite(x):
+                        raise NonFiniteNumber(f"{name} has a non-finite payoff: {x!r}")
 
     @property
     def num_rows(self) -> int:

@@ -1,13 +1,20 @@
 """Deterministic linear programming and vertex enumeration.
 
-Both arithmetic modes run a two-phase tableau simplex.  Exact mode works on
-``Fraction`` entries with Bland's smallest-index rule (no rounding anywhere,
-guaranteed termination).  Float mode vectorizes the pivoting with numpy
-under a 1e-9 tolerance and uses the Dantzig rule with largest-pivot
-tie-breaking, which wanders far less on degenerate programs; every float
-status is validated (optimality certificate, Farkas vector, or improving
-ray), and anything that cannot be certified is transparently re-solved in
-exact arithmetic.  Both modes are fully deterministic for a fixed input.
+Both arithmetic modes run a two-phase tableau simplex.  Exact mode uses
+Bland's smallest-index rule (no rounding anywhere, guaranteed termination) on
+a fraction-free tableau: every row, and the reduced-cost row, is a list of
+Python ints over one positive denominator, brought to lowest terms by a
+single gcd after each update.  It makes the pivot decisions of a rational
+tableau with integer arithmetic only, and builds ``Fraction`` values just
+for the solution, duals and objective it returns.
+
+Float mode vectorizes the pivoting with numpy under a 1e-9 tolerance and
+uses the Dantzig rule with largest-pivot tie-breaking, which wanders far
+less on degenerate programs; every float status is validated (optimality
+certificate, Farkas vector, or improving ray), and anything that cannot be
+certified is re-solved in exact arithmetic, logged at debug level on the
+``partialcommit.linprog`` logger.  Both modes are fully deterministic for a
+fixed input.
 
 Artificial columns are kept in the tableau (barred from entering) so the
 final reduced-cost row yields the dual vector for free; every optimal
@@ -20,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Sequence
 
 import numpy as np
@@ -94,14 +102,17 @@ class _Certificate:
 
     def check(self) -> bool:
         tol = 0 if self.mode == "exact" else FLOAT_TOL * 10
+        # a point the verifiers would reject (they allow FLOAT_TOL) must not
+        # pass here, or a float solve could report an infeasible optimum
+        primal_tol = 0 if self.mode == "exact" else FLOAT_TOL
         n = len(self.cost)
-        if any(x < -tol for x in self.x_std):
+        if any(x < -primal_tol for x in self.x_std):
             return False
         if any(abs(self.x_std[j]) > tol for j in self.artificials):
             return False
         for row, b in zip(self.matrix, self.rhs):
             resid = sum(a * x for a, x in zip(row, self.x_std)) - b
-            if abs(resid) > tol:
+            if abs(resid) > primal_tol:
                 return False
         # dual feasibility: reduced costs nonnegative for the min problem
         for j in range(n):
@@ -222,45 +233,73 @@ def _standardize(lp: LinearProgram, mode: str):
 
 
 # ---------------------------------------------------------------------------
-# exact kernel
+# exact kernel (fraction-free integer rows)
+
+
+def _int_row(values):
+    """Integers over the least positive common denominator of ``values``."""
+    pairs = [x.as_integer_ratio() for x in values]
+    den = lcm(*[d for _, d in pairs])
+    return [n * (den // d) for n, d in pairs], den
+
+
+def _sub_multiple(row, den, other, s, t):
+    """``row/den - t/(s*den) * other`` as (integers, denominator), in lowest
+    terms; ``s`` is positive."""
+    g = gcd(s, t)
+    if g > 1:
+        s //= g
+        t //= g
+    new = [a * s - t * b for a, b in zip(row, other)]
+    den *= s
+    g = gcd(den, *new)
+    if g > 1:
+        return [a // g for a in new], den // g
+    return new, den
 
 
 def _simplex_exact(std):
-    matrix = [row[:] for row in std["matrix"]]
-    rhs = list(std["rhs"])
+    """Two-phase Bland simplex on integer rows (see the module docstring);
+    the right-hand side is the last entry of each row.  Signs are read from
+    the numerators, since every denominator is positive.
+    """
+    rows, dens = [], []
+    for coefs, b in zip(std["matrix"], std["rhs"]):
+        row, den = _int_row([*coefs, b])
+        rows.append(row)
+        dens.append(den)
     basis = list(std["basis"])
     ncols = std["ncols"]
     art = set(std["artificials"])
-    live = list(range(len(matrix)))  # original row index per tableau row
+    live = list(range(len(rows)))  # original row index per tableau row
 
-    def pivot(z, r, j):
-        piv = matrix[r][j]
-        inv = Fraction(1) / piv
-        matrix[r] = [a * inv for a in matrix[r]]
-        rhs[r] = rhs[r] * inv
-        prow = matrix[r]
-        for i in range(len(matrix)):
-            if i == r:
-                continue
-            f = matrix[i][j]
-            if f:
-                matrix[i] = [a - f * p for a, p in zip(matrix[i], prow)]
-                rhs[i] -= f * rhs[r]
-        f = z[j]
-        if f:
-            for k in range(ncols):
-                z[k] -= f * prow[k]
-            z[ncols] -= f * rhs[r]
+    def pivot(r, j):
+        prow = rows[r]
+        p = prow[j]
+        if p < 0:
+            prow = [-a for a in prow]
+            p = -p
+        g = gcd(*prow)
+        if g > 1:
+            prow = [a // g for a in prow]
+            p //= g
+        rows[r], dens[r] = prow, p  # entry j is now exactly 1
+        for i, row in enumerate(rows):
+            f = row[j]
+            if f and i != r:
+                rows[i], dens[i] = _sub_multiple(row, dens[i], prow, p, f)
         basis[r] = j
+        return prow, p
 
     def run(cost, enterable):
-        z = [cost[j] for j in range(ncols)] + [Fraction(0)]
+        z, dz = _int_row([*cost, 0])
         for i, bcol in enumerate(basis):
             f = cost[bcol]
             if f:
-                for k in range(ncols):
-                    z[k] -= f * matrix[i][k]
-                z[ncols] -= f * rhs[i]
+                # z -= f * row_i / dens[i], with f = num/den
+                z, dz = _sub_multiple(
+                    z, dz, rows[i], f.denominator * dens[i], f.numerator * dz
+                )
         for _ in range(_MAX_PIVOTS):
             entering = None
             for j in range(ncols):
@@ -268,53 +307,56 @@ def _simplex_exact(std):
                     entering = j
                     break
             if entering is None:
-                return z, OPTIMAL
-            leave, best = None, None
-            for i in range(len(matrix)):
-                a = matrix[i][entering]
+                return z, dz, OPTIMAL
+            # min ratio rhs_i / a_i, where the row denominator cancels
+            leave = None
+            for i, row in enumerate(rows):
+                a = row[entering]
                 if a > 0:
-                    ratio = rhs[i] / a
-                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                        best, leave = ratio, i
+                    if leave is not None:
+                        lhs, rhs = row[ncols] * best_a, best_b * a
+                        if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                            continue
+                    leave, best_b, best_a = i, row[ncols], a
             if leave is None:
-                return z, UNBOUNDED
-            pivot(z, leave, entering)
+                return z, dz, UNBOUNDED
+            prow, p = pivot(leave, entering)
+            f = z[entering]
+            if f:
+                z, dz = _sub_multiple(z, dz, prow, p, f)
         raise RuntimeError("simplex failed to terminate")
 
     if art:
         # artificials start basic and may leave, but never re-enter; fixing
         # them at zero once they leave preserves the feasibility decision
-        cost1 = [Fraction(1) if j in art else Fraction(0) for j in range(ncols)]
-        z, _ = run(cost1, [j not in art for j in range(ncols)])
-        if -z[ncols] > 0:
+        cost1 = [1 if j in art else 0 for j in range(ncols)]
+        z, _, _ = run(cost1, [j not in art for j in range(ncols)])
+        if z[ncols] < 0:
             return {"status": INFEASIBLE}
         # drive remaining artificials out of the basis
-        for i in range(len(matrix) - 1, -1, -1):
+        for i in range(len(rows) - 1, -1, -1):
             if basis[i] in art:
-                target = None
-                for j in range(ncols):
-                    if j not in art and matrix[i][j] != 0:
-                        target = j
-                        break
+                row = rows[i]
+                target = next((j for j in range(ncols) if j not in art and row[j]), None)
                 if target is not None:
-                    pivot([Fraction(0)] * (ncols + 1), i, target)
+                    pivot(i, target)
                 else:
-                    del matrix[i], rhs[i], basis[i], live[i]
+                    del rows[i], dens[i], basis[i], live[i]
 
     enterable = [j not in art for j in range(ncols)]
-    z, status = run(std["cost"], enterable)
+    z, dz, status = run(std["cost"], enterable)
     if status == UNBOUNDED:
         return {"status": UNBOUNDED}
     x = [Fraction(0)] * ncols
-    for i, bcol in enumerate(basis):
-        x[bcol] = rhs[i]
+    for row, den, bcol in zip(rows, dens, basis):
+        x[bcol] = Fraction(row[ncols], den)
     duals = [Fraction(0)] * len(std["rhs"])
     for i in live:
-        duals[i] = -z[std["ident"][i]]
+        duals[i] = Fraction(-z[std["ident"][i]], dz)
     return {
         "status": OPTIMAL,
         "x": x,
-        "obj": sum(std["cost"][j] * x[j] for j in range(ncols)),
+        "obj": Fraction(-z[ncols], dz),
         "basis": tuple(sorted(basis)),
         "duals": duals,
     }
@@ -485,7 +527,7 @@ def solve_lp(lp: LinearProgram, mode: str = "exact") -> LpOutcome:
     std = _standardize(lp, mode)
     res = _simplex_exact(std) if mode == "exact" else _simplex_float(std)
     if res["status"] == _STALLED:
-        return _float_via_exact(lp)
+        return _float_via_exact(lp, "stalled")
     if res["status"] != OPTIMAL:
         return LpOutcome(status=res["status"])
     x_std = res["x"]
@@ -512,11 +554,16 @@ def solve_lp(lp: LinearProgram, mode: str = "exact") -> LpOutcome:
         _certificate=cert,
     )
     if mode == "float" and not outcome.check_certificate():
-        return _float_via_exact(lp)
+        return _float_via_exact(lp, "certificate failed")
     return outcome
 
 
-def _float_via_exact(lp: LinearProgram) -> LpOutcome:
+def _float_via_exact(lp: LinearProgram, reason: str) -> LpOutcome:
+    # imported here, on the rare fallback: the logging package costs about
+    # 0.5 MB of resident memory and 6 ms of start-up in every process
+    import logging
+
+    logging.getLogger(__name__).debug("float LP re-solved in exact arithmetic: %s", reason)
     exact = solve_lp(lp, "exact")
     if exact.status != OPTIMAL:
         return LpOutcome(status=exact.status)

@@ -55,6 +55,13 @@ class TestSolve:
         ])
         assert code == 0
 
+    def test_non_finite_payoff_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"u1": [[NaN, 1], [0, 1]], "u2": [[0, 1], [1, 0]], "partition": [[0, 1]]}')
+        code = main(["solve", "--concept", "seslo", "--game", str(path)])
+        assert code == 1
+        assert "NonFiniteNumber" in capsys.readouterr().err
+
     def test_missing_game_file(self, capsys):
         code = main(["solve", "--concept", "seslo", "--game", "/nonexistent.json"])
         assert code == 1

@@ -7,6 +7,7 @@ import pytest
 from partialcommit.errors import (
     DimensionMismatch,
     EmptyGame,
+    NonFiniteNumber,
     PartitionInvalid,
     UniverseMismatch,
 )
@@ -83,6 +84,17 @@ class TestValidateGame:
     def test_empty(self):
         with pytest.raises(EmptyGame):
             validate_game({"u1": [], "u2": [], "partition": []})
+
+    def test_non_finite_payoffs_rejected(self):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(NonFiniteNumber):
+                Game([[bad, 1], [0, 1]], [[0, 1], [1, 0]], SISPartition.one_cell(2))
+            with pytest.raises(NonFiniteNumber):
+                Game([[1, 1], [0, 1]], [[0, 1], [1, bad]], SISPartition.one_cell(2))
+            raw = _example_raw()
+            raw["u2"][3][1] = bad
+            with pytest.raises(NonFiniteNumber):
+                validate_game(raw)
 
 
 class TestNumbers:

@@ -1,8 +1,10 @@
+import logging
 import random
 from fractions import Fraction as F
 import pytest
 from scipy.optimize import linprog as scipy_linprog
 
+from partialcommit import experiment
 from partialcommit.errors import ScaleGuardExceeded
 from partialcommit.games import (
     Game,
@@ -72,6 +74,11 @@ def scipy_max_ce_value(game) -> float:
     return -res.fun
 
 
+def _slack_game():
+    """Game 0 of the 4x4 sweep with base seed 6707571899452336207."""
+    return gen_random(4, 4, 1, seed=experiment.derive_seed(6707571899452336207, 4, 4, 0))
+
+
 class TestSeslo:
     def test_signaling_game(self):
         report = solve_seslo(gen_example(SIGNALING_5X4))
@@ -90,6 +97,25 @@ class TestSeslo:
         report = solve_seslo(gen_example(WEAKSIG_6X4))
         assert report.value == 2
         assert report.verifier_passed
+
+    def test_float_witness_is_feasible_for_the_verifier(self):
+        # the float optimum of this game leaves a slack of -5.3e-9, which the
+        # verifier (1e-9) rejects; the certificate must reject it too, so the
+        # LP is re-solved exactly
+        game = _slack_game()
+        flt = solve_seslo(game, mode="float")
+        exact = solve_seslo(game)
+        assert flt.verifier_passed
+        assert flt.value == float(exact.value)
+        assert abs(flt.value - 0.7362) < 1e-4
+
+    def test_float_fallback_is_logged(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="partialcommit.linprog"):
+            solve_seslo(_slack_game(), mode="float")
+        assert [r.getMessage() for r in caplog.records] == [
+            "float LP re-solved in exact arithmetic: certificate failed"
+        ]
+        assert caplog.records[0].levelno == logging.DEBUG
 
     def test_shapley_one_cell_matches_independent_ce_lp(self):
         game = gen_example(SHAPLEY)
