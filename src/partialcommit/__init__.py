@@ -24,7 +24,6 @@ from .errors import (
     NonFiniteNumber,
     PartitionInvalid,
     ScaleGuardExceeded,
-    UnboundedPolytope,
     UniverseMismatch,
     UnknownExample,
 )

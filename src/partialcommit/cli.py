@@ -25,7 +25,7 @@ from .deviations import (
     verify_correlated,
     verify_mixed,
 )
-from .errors import GameError, InvalidParams
+from .errors import GameError, InvalidParams, PartitionInvalid
 from .experiment import ExperimentConfig, emit_csv, emit_svg, run_experiment
 from .games import (
     CorrelatedProfile,
@@ -180,7 +180,10 @@ def _nested(x):
 def _parse_partition(text: str, num_rows: int) -> SISPartition:
     cells = []
     for chunk in text.split("|"):
-        cells.append([int(tok) for tok in chunk.split(",") if tok.strip() != ""])
+        try:
+            cells.append([int(tok) for tok in chunk.split(",") if tok.strip() != ""])
+        except ValueError as exc:
+            raise PartitionInvalid(f"--partition cells must be row indices: {exc}") from exc
     return SISPartition(cells, num_rows)
 
 

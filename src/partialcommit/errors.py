@@ -34,10 +34,6 @@ class ScaleGuardExceeded(GameError):
     """An exponential-time solver was invoked above the size guard."""
 
 
-class UnboundedPolytope(GameError):
-    """Vertex enumeration was asked for a polytope with a recession direction."""
-
-
 class UnknownExample(GameError):
     """Unrecognized built-in example name."""
 

@@ -27,7 +27,6 @@ class ExperimentConfig:
     games_per_point: int = 1000
     sis_counts: tuple[int, ...] | None = None  # default: 1..m per size
     base_seed: int = 0
-    mode: str = "float"
 
     def __post_init__(self):
         if self.games_per_point < 1:
@@ -74,7 +73,7 @@ def experiment_values(config: ExperimentConfig) -> dict[tuple[int, int, int], li
             for k in counts:
                 game = base.with_partition(SISPartition.round_robin(m, k))
                 try:
-                    report = solve_seslo(game, config.mode)
+                    report = solve_seslo(game, "float")
                 except Exception as exc:
                     raise RuntimeError(
                         f"solver failed on game seed={seed} (m={m}, n={n}, "
@@ -181,12 +180,3 @@ def emit_svg(rows: list[ExperimentRow], path) -> None:
     parts.append("</svg>")
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write("\n".join(parts) + "\n")
-
-
-def emit_outputs(rows: list[ExperimentRow], fmt: str, path) -> None:
-    if fmt == "csv":
-        emit_csv(rows, path)
-    elif fmt == "svg":
-        emit_svg(rows, path)
-    else:
-        raise InvalidParams(f"unknown output format {fmt!r}")

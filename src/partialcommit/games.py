@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -106,8 +107,11 @@ class SISPartition:
     num_rows: int
 
     def __init__(self, cells: Iterable[Iterable[int]], num_rows: int):
-        canon = sorted((tuple(sorted(set(c))) for c in cells), key=lambda c: (c[0] if c else -1))
-        canon = tuple(canon)
+        try:
+            canon = [tuple(sorted({operator.index(r) for r in c})) for c in cells]
+        except TypeError as exc:
+            raise PartitionInvalid(f"partition cells must be lists of row indices: {exc}") from exc
+        canon = tuple(sorted(canon, key=lambda c: (c[0] if c else -1)))
         seen: set[int] = set()
         for cell in canon:
             if not cell:
@@ -230,18 +234,20 @@ def validate_game(raw: Mapping) -> Game:
     optional ``row_labels``/``col_labels``.  Raises a :class:`GameError`
     subclass on any structural defect.
     """
+    if not isinstance(raw, Mapping):
+        raise DimensionMismatch("a game must be a JSON object")
     try:
         u1_raw = raw["u1"]
         u2_raw = raw["u2"]
         part_raw = raw["partition"]
     except KeyError as exc:
         raise DimensionMismatch(f"missing required game field: {exc}") from exc
-    if not u1_raw or not all(u1_raw):
-        raise EmptyGame("game must have at least one row and one column")
     try:
+        if not u1_raw or not all(u1_raw):
+            raise EmptyGame("game must have at least one row and one column")
         u1 = tuple(tuple(parse_number(x) for x in row) for row in u1_raw)
         u2 = tuple(tuple(parse_number(x) for x in row) for row in u2_raw)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise DimensionMismatch(str(exc)) from exc
     n = len(u1[0])
     if any(len(row) != n for row in u1):
@@ -302,6 +308,8 @@ class CorrelatedProfile:
 
     def __init__(self, p: Sequence[Sequence[Number]], mode: str = "exact"):
         rows = tuple(tuple(to_mode(x, mode) for x in row) for row in p)
+        if any(len(row) != len(rows[0]) for row in rows[1:]):
+            raise DimensionMismatch("ragged p matrix")
         flat = tuple(x for row in rows for x in row)
         flat = _check_distribution(flat, "p", mode)
         n = len(rows[0])
@@ -429,10 +437,18 @@ def profile_to_dict(profile: MixedProfile | CorrelatedProfile) -> dict:
     return {"p": [[_plain(x) for x in row] for row in profile.p]}
 
 
-def load_game(path) -> Game:
+def _read_json(path):
+    """The parsed file, decimals as exact ``Fraction``s; bad JSON is a
+    :class:`DimensionMismatch`, like any other malformed input."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh, parse_float=Fraction)
-    return validate_game(raw)
+        try:
+            return json.load(fh, parse_float=Fraction)
+        except ValueError as exc:
+            raise DimensionMismatch(f"{path} is not valid JSON: {exc}") from exc
+
+
+def load_game(path) -> Game:
+    return validate_game(_read_json(path))
 
 
 def save_game(game: Game, path) -> None:
@@ -442,20 +458,23 @@ def save_game(game: Game, path) -> None:
 
 
 def load_profile(path, mode: str = "exact") -> MixedProfile | CorrelatedProfile:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh, parse_float=Fraction)
-    return profile_from_dict(raw, mode)
+    return profile_from_dict(_read_json(path), mode)
 
 
 def profile_from_dict(raw: Mapping, mode: str = "exact") -> MixedProfile | CorrelatedProfile:
-    if "p" in raw:
-        return CorrelatedProfile([[parse_number(x) for x in row] for row in raw["p"]], mode)
-    if "sigma1" in raw and "sigma2" in raw:
-        return MixedProfile(
-            [parse_number(x) for x in raw["sigma1"]],
-            [parse_number(x) for x in raw["sigma2"]],
-            mode,
-        )
+    if not isinstance(raw, Mapping):
+        raise DimensionMismatch("a profile must be a JSON object")
+    try:
+        if "p" in raw:
+            return CorrelatedProfile([[parse_number(x) for x in row] for row in raw["p"]], mode)
+        if "sigma1" in raw and "sigma2" in raw:
+            return MixedProfile(
+                [parse_number(x) for x in raw["sigma1"]],
+                [parse_number(x) for x in raw["sigma2"]],
+                mode,
+            )
+    except (ValueError, TypeError) as exc:
+        raise DimensionMismatch(str(exc)) from exc
     raise DimensionMismatch("profile file needs either 'p' or 'sigma1'/'sigma2'")
 
 

@@ -32,7 +32,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import UnboundedPolytope
 from .games import FLOAT_TOL, Number, to_mode
 
 OPTIMAL = "optimal"
@@ -54,17 +53,14 @@ Constraint = tuple[Sequence[Number], str, Number]  # (coefficients, '<='|'='|'>=
 class LinearProgram:
     """max/min of a linear objective over linear constraints.
 
-    Variables default to lower bound 0; pass ``lower_bounds`` /
-    ``upper_bounds`` (per-variable, ``None`` entry = no upper bound) to
-    change that.  Lower bounds must be finite.
+    Every variable is nonnegative and has no other bound; an upper bound is
+    one more ``<=`` constraint.
     """
 
     objective: tuple[Number, ...]
     sense: str  # 'max' | 'min'
     constraints: tuple[Constraint, ...]
     num_vars: int
-    lower_bounds: tuple[Number, ...] | None = None
-    upper_bounds: tuple[Number | None, ...] | None = None
 
     def __post_init__(self):
         if self.sense not in ("max", "min"):
@@ -84,8 +80,9 @@ class Polytope:
 
     num_vars: int
     constraints: tuple[Constraint, ...]
-    lower_bounds: tuple[Number, ...] | None = None
-    upper_bounds: tuple[Number | None, ...] | None = None
+    #: not a field: the benchmark's layer trace (perfbench/layers.py,
+    #: ``_on_enumerate``) reads it to count inequality rows
+    upper_bounds = None
 
 
 @dataclass
@@ -147,45 +144,26 @@ class LpOutcome:
 
 
 def _standardize(lp: LinearProgram, mode: str):
-    """Shift lower bounds to zero, fold upper bounds into rows, normalize signs.
+    """Normalize signs and lay out slack and artificial columns.
 
-    Returns everything the kernels need plus the data to map a standard-form
-    solution back to user space.
+    Returns everything the kernels need to solve min c.y, A y = b, y >= 0.
     """
     v = lp.num_vars
-    lbs = [to_mode(x, mode) for x in (lp.lower_bounds or (0,) * v)]
-    if any(x is None for x in lbs):
-        raise ValueError("lower bounds must be finite")
     obj = [to_mode(x, mode) for x in lp.objective]
     flip = lp.sense == "max"
-    cost = [-x for x in obj] if flip else list(obj)
-    const = sum(o * l for o, l in zip(obj, lbs))
+    cost = [-x for x in obj] if flip else obj
 
     rows: list[list] = []
     rels: list[str] = []
     rhs: list = []
     for coefs, rel, b in lp.constraints:
-        cc = [to_mode(x, mode) for x in coefs]
-        shift = sum(c * l for c, l in zip(cc, lbs))
-        rows.append(cc)
+        row = [to_mode(x, mode) for x in coefs]
+        b = to_mode(b, mode)
+        if b < 0:  # make every right-hand side nonnegative
+            row, b, rel = [-a for a in row], -b, {"<=": ">=", ">=": "<=", "=": "="}[rel]
+        rows.append(row)
         rels.append(rel)
-        rhs.append(to_mode(b, mode) - shift)
-    if lp.upper_bounds is not None:
-        for i, ub in enumerate(lp.upper_bounds):
-            if ub is None:
-                continue
-            row = [to_mode(0, mode)] * v
-            row[i] = to_mode(1, mode)
-            rows.append(row)
-            rels.append("<=")
-            rhs.append(to_mode(ub, mode) - lbs[i])
-
-    # make every right-hand side nonnegative
-    for i in range(len(rows)):
-        if rhs[i] < 0:
-            rows[i] = [-a for a in rows[i]]
-            rhs[i] = -rhs[i]
-            rels[i] = {"<=": ">=", ">=": "<=", "=": "="}[rels[i]]
+        rhs.append(b)
 
     # column layout: structural vars, then slack/surplus, then artificials
     zero = to_mode(0, mode)
@@ -203,32 +181,26 @@ def _standardize(lp: LinearProgram, mode: str):
             art_col[i] = ncols
             ncols += 1
 
-    matrix = [[zero] * ncols for _ in range(m)]
+    matrix = [row + [zero] * (ncols - v) for row in rows]
     for i in range(m):
-        for j in range(v):
-            matrix[i][j] = rows[i][j]
         if slack_col[i] is not None:
             matrix[i][slack_col[i]] = one if rels[i] == "<=" else -one
         if art_col[i] is not None:
             matrix[i][art_col[i]] = one
 
-    basis = [art_col[i] if art_col[i] is not None else slack_col[i] for i in range(m)]
-    cost_full = cost + [zero] * (ncols - v)
-    artificials = [c for c in art_col if c is not None]
-    # column giving the i-th unit vector in the original matrix (for duals)
+    # column giving the i-th unit vector in the original matrix: the starting
+    # basis, and where the duals are read
     ident = [art_col[i] if art_col[i] is not None else slack_col[i] for i in range(m)]
     return {
         "matrix": matrix,
         "rhs": rhs,
-        "cost": cost_full,
-        "basis": basis,
-        "artificials": artificials,
+        "cost": cost + [zero] * (ncols - v),
+        "basis": ident,
+        "artificials": [c for c in art_col if c is not None],
         "ident": ident,
         "num_vars": v,
         "ncols": ncols,
-        "lbs": lbs,
         "flip": flip,
-        "const": const,
     }
 
 
@@ -368,16 +340,17 @@ def _simplex_exact(std):
 
 def _simplex_float(std):
     tol = FLOAT_TOL
-    matrix = np.array([[float(a) for a in row] for row in std["matrix"]], dtype=float)
-    if matrix.size == 0:
-        matrix = matrix.reshape((len(std["rhs"]), std["ncols"]))
-    rhs = np.array([float(b) for b in std["rhs"]], dtype=float)
-    basis = list(std["basis"])
     ncols = std["ncols"]
+    orig_rhs = np.array([float(b) for b in std["rhs"]])
+    orig = np.array([[float(a) for a in row] for row in std["matrix"]]).reshape(
+        len(orig_rhs), ncols
+    )
+    basis = list(std["basis"])
     art = set(std["artificials"])
-    live = list(range(len(rhs)))
+    real_cols = np.array([j not in art for j in range(ncols)])
+    live = list(range(len(orig_rhs)))
 
-    state = {"matrix": matrix, "rhs": rhs}
+    state = {"matrix": orig.copy(), "rhs": orig_rhs.copy()}
 
     def pivot(z, r, j):
         matrix, rhs = state["matrix"], state["rhs"]
@@ -431,24 +404,14 @@ def _simplex_float(std):
             pivot(z, leave, j)
         return z, _STALLED
 
-    orig = np.array([[float(a) for a in row] for row in std["matrix"]])
-    if orig.size == 0:
-        orig = orig.reshape((len(std["rhs"]), ncols))
-    orig_rhs = np.array([float(b) for b in std["rhs"]])
-    real_cols = np.array([j not in art for j in range(ncols)])
-
     if art:
-        cost1 = np.array([1.0 if j in art else 0.0 for j in range(ncols)])
-        enter1 = np.array([j not in art for j in range(ncols)])
-        z, status = run(cost1, enter1)
+        cost1 = np.where(real_cols, 0.0, 1.0)
+        z, status = run(cost1, real_cols)
         if status is _STALLED:
             return {"status": _STALLED}
         if -z[ncols] > tol * 10:
             # validate the implied Farkas certificate before trusting it
-            y = np.zeros(len(orig_rhs))
-            for i in range(len(orig_rhs)):
-                ident = std["ident"][i]
-                y[i] = float(cost1[ident]) - float(z[ident])
+            y = cost1[std["ident"]] - z[std["ident"]]
             lhs = y @ orig
             if (y @ orig_rhs) > 1e-8 and float(lhs[real_cols].max(initial=0.0)) <= 1e-7:
                 return {"status": INFEASIBLE}
@@ -456,26 +419,17 @@ def _simplex_float(std):
         for i in range(len(basis) - 1, -1, -1):
             if basis[i] in art:
                 row = state["matrix"][i]
-                target = None
-                for j in range(ncols):
-                    if j not in art and abs(row[j]) > _PIVOT_MIN:
-                        target = j
-                        break
-                if target is None:
-                    for j in range(ncols):
-                        if j not in art and abs(row[j]) > tol:
-                            target = j
-                            break
-                if target is not None:
-                    pivot(None, i, target)
+                cands = [j for j in range(ncols) if j not in art and abs(row[j]) > tol]
+                well_scaled = [j for j in cands if abs(row[j]) > _PIVOT_MIN]
+                if cands:
+                    pivot(None, i, (well_scaled or cands)[0])
                 else:
                     state["matrix"] = np.delete(state["matrix"], i, axis=0)
                     state["rhs"] = np.delete(state["rhs"], i)
                     del basis[i], live[i]
 
-    enter2 = np.array([j not in art for j in range(ncols)])
     cost2 = np.array([float(c) for c in std["cost"]])
-    z, status = run(cost2, enter2)
+    z, status = run(cost2, real_cols)
     if status is _STALLED:
         return {"status": _STALLED}
     x = np.zeros(ncols)
@@ -483,7 +437,7 @@ def _simplex_float(std):
         x[bcol] = state["rhs"][i]
     feasible = (
         x.min(initial=0.0) >= -1e-7
-        and (np.abs(orig @ x - orig_rhs).max(initial=0.0) if len(orig_rhs) else 0.0) <= 1e-7
+        and np.abs(orig @ x - orig_rhs).max(initial=0.0) <= 1e-7
     )
     if status == UNBOUNDED:
         # validate the ray: follows the entering column of the last tableau
@@ -495,7 +449,7 @@ def _simplex_float(std):
         ray_ok = (
             feasible
             and d.min(initial=0.0) >= -1e-7
-            and (np.abs(orig @ d).max(initial=0.0) if len(orig_rhs) else 0.0) <= 1e-7
+            and np.abs(orig @ d).max(initial=0.0) <= 1e-7
             and float(cost2 @ d) < -tol
         )
         return {"status": UNBOUNDED if ray_ok else _STALLED}
@@ -531,11 +485,10 @@ def solve_lp(lp: LinearProgram, mode: str = "exact") -> LpOutcome:
     if res["status"] != OPTIMAL:
         return LpOutcome(status=res["status"])
     x_std = res["x"]
-    solution = tuple(x_std[j] + std["lbs"][j] for j in range(std["num_vars"]))
-    if std["flip"]:
-        user_value = -res["obj"] + std["const"]
-    else:
-        user_value = res["obj"] + std["const"]
+    # adding zero turns a float -0.0 into 0.0, so no reported zero reads "-0.0"
+    zero = to_mode(0, mode)
+    solution = tuple(x + zero for x in x_std[: std["num_vars"]])
+    user_value = (-res["obj"] if std["flip"] else res["obj"]) + zero
     cert = _Certificate(
         matrix=std["matrix"],
         rhs=std["rhs"],
@@ -587,17 +540,17 @@ def _float_via_exact(lp: LinearProgram, reason: str) -> LpOutcome:
     )
 
 
-def _gauss_solve(rows: list[tuple[list, Number]], dim: int, mode: str):
-    """Solve a linear system given as (coefficients, rhs) pairs.
+def _eliminate(aug: list[list], ncols: int, mode: str) -> list[int]:
+    """Gauss-Jordan elimination of ``aug`` in place over its first ``ncols``
+    columns; returns the pivot columns, whose reduced rows come first.
 
-    Returns the unique solution vector, or None when the system is singular,
-    underdetermined, or inconsistent.
+    Float mode pivots on the largest entry of a column and treats entries
+    within ``FLOAT_TOL`` as zero; exact mode pivots on the first nonzero one.
     """
     tol = 0 if mode == "exact" else FLOAT_TOL
-    aug = [list(coefs) + [rhs] for coefs, rhs in rows]
     piv_cols = []
     r = 0
-    for col in range(dim):
+    for col in range(ncols):
         best = None
         for i in range(r, len(aug)):
             a = abs(aug[i][col])
@@ -620,34 +573,34 @@ def _gauss_solve(rows: list[tuple[list, Number]], dim: int, mode: str):
         r += 1
         if r == len(aug):
             break
-    if len(piv_cols) < dim:
+    return piv_cols
+
+
+def _gauss_solve(rows: list[tuple[list, Number]], dim: int, mode: str):
+    """Solve a linear system given as (coefficients, rhs) pairs.
+
+    Returns the unique solution vector, or None when the system is singular,
+    underdetermined, or inconsistent.
+    """
+    aug = [list(coefs) + [rhs] for coefs, rhs in rows]
+    if len(_eliminate(aug, dim, mode)) < dim:
         return None
-    for i in range(r, len(aug)):
-        if abs(aug[i][dim]) > tol:
-            return None  # inconsistent
-    x = [None] * dim
-    for i, col in enumerate(piv_cols):
-        x[col] = aug[i][dim]
-    return x
+    tol = 0 if mode == "exact" else FLOAT_TOL
+    if any(abs(row[dim]) > tol for row in aug[dim:]):
+        return None  # inconsistent
+    return [row[dim] for row in aug[:dim]]
 
 
 def _polytope_rows(poly: Polytope, mode: str):
-    """All defining constraints, variable bounds included, mode-converted."""
+    """All defining constraints and the nonnegativity rows, mode-converted."""
     rows = []
     for coefs, rel, rhs in poly.constraints:
         rows.append(([to_mode(a, mode) for a in coefs], rel, to_mode(rhs, mode)))
-    lbs = poly.lower_bounds or (0,) * poly.num_vars
-    for i, lb in enumerate(lbs):
-        row = [to_mode(0, mode)] * poly.num_vars
-        row[i] = to_mode(1, mode)
-        rows.append((row, ">=", to_mode(lb, mode)))
-    if poly.upper_bounds is not None:
-        for i, ub in enumerate(poly.upper_bounds):
-            if ub is None:
-                continue
-            row = [to_mode(0, mode)] * poly.num_vars
-            row[i] = to_mode(1, mode)
-            rows.append((row, "<=", to_mode(ub, mode)))
+    zero, one = to_mode(0, mode), to_mode(1, mode)
+    for i in range(poly.num_vars):
+        row = [zero] * poly.num_vars
+        row[i] = one
+        rows.append((row, ">=", zero))
     return rows
 
 
@@ -664,50 +617,27 @@ def _satisfies(x, rows, mode: str) -> bool:
     return True
 
 
-def enumerate_vertices(
-    poly: Polytope, mode: str = "exact", check_bounded: bool = True
-) -> list[tuple]:
+def enumerate_vertices(poly: Polytope, mode: str = "exact") -> list[tuple]:
     """Every vertex of the polytope exactly once, deterministic order.
 
-    Works by enumerating subsets of tight constraints: every equality row is
-    always tight, and each combination of inequalities filling out the
-    dimension is solved as a square system and kept when the solution is
-    unique and feasible.  Intended for desk-scale dimensions.
+    The region must be bounded: a direction along which it recedes has no
+    vertex, so it would go unreported.  Every solver polytope is bounded,
+    since it carries ``sum = 1`` over nonnegative variables.
+
+    Works by enumerating subsets of tight constraints: the equality rows,
+    reduced to an independent set, are always tight, and each combination of
+    inequalities filling out the dimension is solved as a square system and
+    kept when the solution is unique and feasible.  Intended for desk-scale
+    dimensions.
     """
     dim = poly.num_vars
-    if check_bounded:
-        for i in range(dim):
-            for sense in ("max", "min"):
-                obj = [0] * dim
-                obj[i] = 1
-                probe = LinearProgram(
-                    objective=tuple(obj),
-                    sense=sense,
-                    constraints=tuple(poly.constraints),
-                    num_vars=dim,
-                    lower_bounds=poly.lower_bounds,
-                    upper_bounds=poly.upper_bounds,
-                )
-                if solve_lp(probe, mode).status == UNBOUNDED:
-                    raise UnboundedPolytope(f"recession direction along variable {i}")
     rows = _polytope_rows(poly, mode)
-    eqs = [(coefs, rhs) for coefs, rel, rhs in rows if rel == "="]
+    eqs = [list(coefs) + [rhs] for coefs, rel, rhs in rows if rel == "="]
+    piv_cols = _eliminate(eqs, dim + 1, mode)
+    if dim in piv_cols:
+        return []  # the equalities reduce to 0 = 1
+    base = [(row[:dim], row[dim]) for row in eqs[: len(piv_cols)]]
     ineqs = [(coefs, rhs) for coefs, rel, rhs in rows if rel != "="]
-
-    # independent equality rows, with an early exit on inconsistency
-    tol = 0 if mode == "exact" else FLOAT_TOL
-    base: list[tuple[list, Number]] = []
-    for coefs, rhs in eqs:
-        trial = base + [(coefs, rhs)]
-        # rank check via elimination on the trial set
-        aug = [list(c) + [b] for c, b in trial]
-        rank = _matrix_rank(aug, dim, tol)
-        if rank == len(trial):
-            base = trial
-        else:
-            # dependent row: keep only if it is implied, else the set is empty
-            if not _row_implied(base, coefs, rhs, dim, tol):
-                return []
     need = dim - len(base)
     verts: list[tuple] = []
     seen = set()
@@ -724,36 +654,3 @@ def enumerate_vertices(
         seen.add(key)
         verts.append(tuple(x))
     return verts
-
-
-def _matrix_rank(aug, dim, tol) -> int:
-    rows = [row[:] for row in aug]
-    rank = 0
-    for col in range(dim):
-        piv = None
-        for i in range(rank, len(rows)):
-            if abs(rows[i][col]) > tol:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        p = rows[rank][col]
-        rows[rank] = [a / p for a in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and abs(rows[i][col]) > tol:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
-def _row_implied(base, coefs, rhs, dim, tol) -> bool:
-    """Is (coefs == rhs) a linear consequence of the base equalities?
-
-    Callers only ask this for rows whose coefficients are dependent on the
-    base, so the row is implied exactly when appending it does not raise the
-    rank of the augmented matrix.
-    """
-    rows = [list(c) + [b] for c, b in base] + [list(coefs) + [rhs]]
-    return _matrix_rank(rows, dim, tol) == _matrix_rank(rows, dim + 1, tol)

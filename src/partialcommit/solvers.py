@@ -339,7 +339,7 @@ class _SupportSearch:
         if self.prune and 0 <= need <= n_ineq and math.comb(n_ineq, need) > _GATE_THRESHOLD:
             if not self._pair_gate(rsup, csup, poly):
                 return False
-        vertices = enumerate_vertices(poly, self.mode, check_bounded=False)
+        vertices = enumerate_vertices(poly, self.mode)
         for vert in vertices:
             weights = [
                 sum(self.u1[r][c] * vert[j] for j, c in enumerate(csup)) for r in rsup

@@ -55,16 +55,55 @@ class TestSolve:
         ])
         assert code == 0
 
-    def test_non_finite_payoff_exit_code(self, tmp_path, capsys):
-        path = tmp_path / "nan.json"
-        path.write_text('{"u1": [[NaN, 1], [0, 1]], "u2": [[0, 1], [1, 0]], "partition": [[0, 1]]}')
-        code = main(["solve", "--concept", "seslo", "--game", str(path)])
-        assert code == 1
-        assert "NonFiniteNumber" in capsys.readouterr().err
-
     def test_missing_game_file(self, capsys):
         code = main(["solve", "--concept", "seslo", "--game", "/nonexistent.json"])
         assert code == 1
+
+
+_GOOD_GAME = '{"u1": [[1, 0], [0, 1]], "u2": [[0, 1], [1, 0]], "partition": [[0, 1]]}'
+_BAD_PROFILE = '{"sigma1": ["abc", "1/2"], "sigma2": ["1/2", "1/2"]}'
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "command, game_text, profile_text, error",
+        [
+            pytest.param(
+                "solve",
+                '{"u1": [[NaN, 1], [0, 1]], "u2": [[0, 1], [1, 0]], "partition": [[0, 1]]}',
+                None, "NonFiniteNumber", id="nan-payoff",
+            ),
+            pytest.param("solve", _GOOD_GAME[:30], None, "DimensionMismatch", id="truncated-json"),
+            pytest.param("solve", "[1, 2]", None, "DimensionMismatch", id="top-level-list"),
+            pytest.param(
+                "solve", _GOOD_GAME.replace("[[0, 1]]", '[[0], "x"]'), None, "PartitionInvalid",
+                id="partition-entry",
+            ),
+            pytest.param("verify", _GOOD_GAME, _BAD_PROFILE, "DimensionMismatch", id="verify-token"),
+            pytest.param(
+                "deviate", _GOOD_GAME, _BAD_PROFILE, "DimensionMismatch", id="deviate-token"
+            ),
+            pytest.param(
+                "verify", _GOOD_GAME, '{"p": [[0, "1/2"], ["1/2"]]}', "DimensionMismatch",
+                id="ragged-profile",
+            ),
+        ],
+    )
+    def test_exit_code(self, tmp_path, capsys, command, game_text, profile_text, error):
+        game = tmp_path / "game.json"
+        game.write_text(game_text)
+        argv = [command, "--game", str(game)]
+        if command == "solve":
+            argv += ["--concept", "seslo"]
+        else:
+            profile = tmp_path / "profile.json"
+            profile.write_text(profile_text)
+            argv += ["--profile", str(profile)]
+        if command == "deviate":
+            argv += ["--model", "no-reveal"]
+        code = main(argv)
+        assert code == 1
+        assert f"error: {error}:" in capsys.readouterr().err
 
 
 class TestVerifyAndDeviate:

@@ -5,7 +5,6 @@ from partialcommit.experiment import (
     ExperimentConfig,
     derive_seed,
     emit_csv,
-    emit_outputs,
     emit_svg,
     experiment_values,
     run_experiment,
@@ -108,11 +107,3 @@ class TestOutputs:
         with pytest.raises(InvalidParams):
             emit_svg([], tmp_path / "x.svg")
         assert not (tmp_path / "x.csv").exists()
-
-    def test_emit_outputs_dispatch(self, tmp_path):
-        rows = run_experiment(_small_config())
-        emit_outputs(rows, "csv", tmp_path / "a.csv")
-        emit_outputs(rows, "svg", tmp_path / "a.svg")
-        assert (tmp_path / "a.csv").exists() and (tmp_path / "a.svg").exists()
-        with pytest.raises(InvalidParams):
-            emit_outputs(rows, "pdf", tmp_path / "a.pdf")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog as scipy_linprog
 
-from partialcommit.errors import UnboundedPolytope
 from partialcommit.instances import SIGNALING_5X4, gen_example
 from partialcommit.linprog import (
     INFEASIBLE,
@@ -34,15 +33,12 @@ def _scipy_reference(lp: LinearProgram):
     c = [float(x) for x in lp.objective]
     if lp.sense == "max":
         c = [-x for x in c]
-    lbs = lp.lower_bounds or (0,) * lp.num_vars
-    ubs = lp.upper_bounds or (None,) * lp.num_vars
     res = scipy_linprog(
         c,
         A_ub=A_ub or None,
         b_ub=b_ub or None,
         A_eq=A_eq or None,
         b_eq=b_eq or None,
-        bounds=list(zip([float(l) for l in lbs], [None if u is None else float(u) for u in ubs])),
         method="highs",
     )
     if res.status == 2:
@@ -109,15 +105,12 @@ class TestSolveLp:
         b = solve_lp(lp, "exact")
         assert a.value == b.value and a.solution == b.solution and a.basis == b.basis
 
-    def test_upper_bounds(self):
-        lp = LinearProgram((1, 1), "max", (), 2, upper_bounds=(2, F(1, 2)))
-        out = solve_lp(lp)
-        assert out.value == F(5, 2)
-
-    def test_lower_bound_shift(self):
-        lp = LinearProgram((1, 1), "min", (((1, 1), ">=", 2),), 2, lower_bounds=(-1, -1))
-        out = solve_lp(lp)
-        assert out.value == 2 and out.check_certificate()
+    def test_float_zero_optimum_is_not_negative_zero(self):
+        # the max form is solved as min of the negated cost, whose zero
+        # optimum negates to -0.0; reports print it, so it must read 0.0
+        lp = LinearProgram((-1,), "max", (((1,), "<=", 1),), 1)
+        out = solve_lp(lp, "float")
+        assert repr(out.value) == "0.0" and repr(out.solution) == "(0.0,)"
 
     def test_random_against_scipy(self):
         rng = random.Random(11)
@@ -156,14 +149,24 @@ def _tight_count(vertex, poly: Polytope) -> int:
         lhs = sum(a * x for a, x in zip(coefs, vertex))
         if rel == "=" or lhs == rhs:
             rows.append([F(a) for a in coefs])
-    lbs = poly.lower_bounds or (0,) * poly.num_vars
-    for i, lb in enumerate(lbs):
-        if vertex[i] == lb:
+    for i in range(poly.num_vars):
+        if vertex[i] == 0:
             row = [F(0)] * poly.num_vars
             row[i] = F(1)
             rows.append(row)
     mat = np.array([[float(x) for x in row] for row in rows])
     return int(np.linalg.matrix_rank(mat)) if len(rows) else 0
+
+
+def _random_simplex_polytope(rng) -> Polytope:
+    """The 2- to 4-variable simplex cut by one to four random ``<=`` rows."""
+    dim = rng.randint(2, 4)
+    cons = [((tuple([1] * dim)), "=", 1)]
+    for _ in range(rng.randint(1, 4)):
+        cons.append(
+            (tuple(F(rng.randint(-2, 2)) for _ in range(dim)), "<=", F(rng.randint(0, 2)))
+        )
+    return Polytope(dim, tuple(cons))
 
 
 class TestEnumerateVertices:
@@ -194,10 +197,17 @@ class TestEnumerateVertices:
         poly = Polytope(2, (((1, 1), "=", 1), ((1, 1), ">=", 2)))
         assert enumerate_vertices(poly) == []
 
-    def test_unbounded_raises(self):
-        poly = Polytope(2, (((1, -1), "<=", 0),))
-        with pytest.raises(UnboundedPolytope):
-            enumerate_vertices(poly)
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_implied_equality_is_dropped(self, mode):
+        alone = Polytope(2, (((1, 1), "=", 1),))
+        doubled = Polytope(2, (((1, 1), "=", 1), ((2, 2), "=", 2)))
+        assert enumerate_vertices(doubled, mode) == enumerate_vertices(alone, mode)
+        assert len(enumerate_vertices(alone, mode)) == 2
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_inconsistent_equalities_are_empty(self, mode):
+        poly = Polytope(2, (((1, 1), "=", 1), ((2, 2), "=", 3)))
+        assert enumerate_vertices(poly, mode) == []
 
     def test_degenerate_vertex_reported_once(self):
         # three constraints meet at the same point of the 2-simplex
@@ -212,15 +222,19 @@ class TestEnumerateVertices:
     def test_vertices_have_full_rank_tight_sets(self):
         rng = random.Random(5)
         for _ in range(15):
-            dim = rng.randint(2, 4)
-            cons = [((tuple([1] * dim)), "=", 1)]
-            for _ in range(rng.randint(1, 4)):
-                cons.append(
-                    (tuple(F(rng.randint(-2, 2)) for _ in range(dim)), "<=", F(rng.randint(0, 2)))
-                )
-            poly = Polytope(dim, tuple(cons))
+            poly = _random_simplex_polytope(rng)
             for v in enumerate_vertices(poly):
-                assert _tight_count(v, poly) == dim
+                assert _tight_count(v, poly) == poly.num_vars
+
+    def test_float_vertices_match_exact(self):
+        rng = random.Random(5)
+        for _ in range(15):
+            poly = _random_simplex_polytope(rng)
+            exact = enumerate_vertices(poly, "exact")
+            flt = enumerate_vertices(poly, "float")
+            assert len(flt) == len(exact)
+            for xv, fv in zip(exact, flt):
+                assert all(abs(float(a) - b) <= 1e-9 for a, b in zip(xv, fv))
 
     def test_lp_maximum_attained_at_vertex(self):
         rng = random.Random(6)
