@@ -255,9 +255,16 @@ def validate_game(raw: Mapping) -> Game:
     if len(u2) != len(u1) or any(len(row) != n for row in u2):
         raise DimensionMismatch("u1 and u2 must have identical shapes")
     partition = SISPartition(part_raw, len(u1))
-    row_labels = tuple(raw["row_labels"]) if raw.get("row_labels") else None
-    col_labels = tuple(raw["col_labels"]) if raw.get("col_labels") else None
-    return Game(u1, u2, partition, row_labels, col_labels)
+    return Game(u1, u2, partition, _labels(raw, "row_labels"), _labels(raw, "col_labels"))
+
+
+def _labels(raw: Mapping, key: str) -> tuple[str, ...] | None:
+    labels = raw.get(key)
+    if labels is None or labels == []:
+        return None
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise DimensionMismatch(f"{key} must be a list of strings")
+    return tuple(labels)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,20 @@
 """Solvers for the commitment solution concepts.
 
+Two engines carry all five concepts; the other three are their partition
+special cases (singleton cells: everything observable; one cell: nothing).
+
 * ``solve_seslo``: one LP over joint recommendation distributions — the
   row-deviation constraints only range over each indistinguishability cell.
-* ``solve_selo`` / ``solve_best_nash``: exact support enumeration.  For every
-  support pair (rows R_sup, columns C_sup) the feasible profiles form a
-  product of two polytopes, P1 (row mixtures keeping every supported column
-  a best response) and P2 (column mixtures keeping every supported row
-  undominated within its cell, or globally for Nash).  The bilinear row
-  payoff attains its maximum at a vertex pair, so we enumerate P2's vertices
-  and solve one LP over P1 per vertex.
-* ``solve_stackelberg``: the classic one-LP-per-column method.
+* ``solve_selo``: exact support enumeration.  For every support pair (rows
+  R_sup, columns C_sup) the feasible profiles form a product of two
+  polytopes, P1 (row mixtures keeping every supported column a best
+  response) and P2 (column mixtures keeping every supported row undominated
+  within its cell).  The bilinear row payoff attains its maximum at a vertex
+  pair, so we enumerate P2's vertices and solve one LP over P1 per vertex.
+* ``solve_stackelberg``: the signal LP with singleton cells, which is the
+  correlated-commitment LP of Conitzer & Korzhyk (AAAI 2011).
 * ``solve_max_ce``: ``solve_seslo`` with all rows merged into one cell.
+* ``solve_best_nash``: ``solve_selo`` with all rows merged into one cell.
 
 Support pairs are visited in increasing total cardinality, lexicographic
 within, and the reported witness is the first optimum in that order.  The
@@ -108,21 +112,26 @@ def _seslo_lp(u1, u2, partition: SISPartition, m: int, n: int) -> LinearProgram:
     return LinearProgram(obj, "max", tuple(cons), nv)
 
 
-def solve_seslo(game: Game, mode: str = "exact") -> SolveReport:
-    """Best row payoff over signal distributions with no undetectable
-    beneficial deviations; always feasible (any correlated equilibrium is)."""
+def _seslo_optimum(game: Game, mode: str):
+    """Optimal value and joint distribution ``p[r][c]`` of the signal LP."""
     u1, u2 = game.payoffs_in_mode(mode)
     m, n = game.num_rows, game.num_cols
     out = solve_lp(_seslo_lp(u1, u2, game.partition, m, n), mode)
     if out.status != OPTIMAL:
         raise RuntimeError(f"signal LP unexpectedly {out.status}")
-    p = [[out.solution[r * n + c] for c in range(n)] for r in range(m)]
+    return out.value, [[out.solution[r * n + c] for c in range(n)] for r in range(m)]
+
+
+def solve_seslo(game: Game, mode: str = "exact") -> SolveReport:
+    """Best row payoff over signal distributions with no undetectable
+    beneficial deviations; always feasible (any correlated equilibrium is)."""
+    value, p = _seslo_optimum(game, mode)
     witness = CorrelatedProfile(p, mode)
     report = verify_correlated(game, witness, mode)
     return SolveReport(
         concept=SESLO,
         mode=mode,
-        value=out.value,
+        value=value,
         witness=witness,
         verifier_passed=report.passed,
         stats=SearchStats(supports_examined=0, lps_solved=1),
@@ -137,70 +146,44 @@ def solve_max_ce(game: Game, mode: str = "exact") -> SolveReport:
     return report
 
 
-# ---------------------------------------------------------------------------
-# Stackelberg (one LP per induced column)
-
-
-def _induce_column_lp(u1, u2, m: int, n: int, cstar: int, rows=None) -> LinearProgram:
-    rows = list(range(m)) if rows is None else list(rows)
-    cons = []
-    for c in range(n):
-        if c == cstar:
-            continue
-        cons.append((tuple(u2[r][cstar] - u2[r][c] for r in rows), ">=", 0))
-    cons.append((tuple([1] * len(rows)), "=", 1))
-    obj = tuple(u1[r][cstar] for r in rows)
-    return LinearProgram(obj, "max", tuple(cons), len(rows))
-
-
 def solve_stackelberg(game: Game, mode: str = "exact") -> SolveReport:
-    """Full-commitment optimum, ties broken in the row player's favor."""
-    u1, u2 = game.payoffs_in_mode(mode)
+    """Full-commitment optimum, ties broken in the row player's favor: the
+    signal LP with singleton cells (the partition of ``game`` plays no role).
+
+    The witness commits to the row mixture conditional on the column with
+    the most mass (lowest index on ties) and induces that column.  Every
+    column with positive mass would do in exact arithmetic; the heaviest
+    one keeps float noise out of the conditional.
+    """
     m, n = game.num_rows, game.num_cols
-    stats = SearchStats()
-    best = None
-    witness = None
-    for cstar in range(n):
-        out = solve_lp(_induce_column_lp(u1, u2, m, n, cstar), mode)
-        stats.lps_solved += 1
-        if out.status != OPTIMAL:
-            continue
-        if best is None or out.value > best:
-            best = out.value
-            sigma2 = [to_mode(0, mode)] * n
-            sigma2[cstar] = to_mode(1, mode)
-            witness = MixedProfile(out.solution, sigma2, mode)
-    if best is None:
-        raise RuntimeError("no inducible column; this cannot happen for a valid game")
-    partition_ignored = verify_mixed(
-        game.with_partition(SISPartition.singletons(m)), witness, mode
-    )
+    singletons = game.with_partition(SISPartition.singletons(m))
+    value, p = _seslo_optimum(singletons, mode)
+    mass = [sum(p[r][c] for r in range(m)) for c in range(n)]
+    cstar = max(range(n), key=mass.__getitem__)
+    sigma2 = [to_mode(0, mode)] * n
+    sigma2[cstar] = to_mode(1, mode)
+    witness = MixedProfile([p[r][cstar] / mass[cstar] for r in range(m)], sigma2, mode)
+    report = verify_mixed(singletons, witness, mode)
     return SolveReport(
         concept=STACKELBERG,
         mode=mode,
-        value=best,
+        value=value,
         witness=witness,
-        verifier_passed=partition_ignored.passed,
-        stats=stats,
+        verifier_passed=report.passed,
+        stats=SearchStats(supports_examined=0, lps_solved=1),
     )
 
 
 # ---------------------------------------------------------------------------
-# support enumeration core (shared by SELO and best-Nash)
+# support enumeration core (SELO, and best Nash through it)
 
 
 class _SupportSearch:
-    """Vertex-pair search over support pairs with sound pruning.
+    """Vertex-pair search over support pairs with sound pruning."""
 
-    ``p2_rows(rsup, csup)`` supplies the column-polytope inequalities (the
-    only part that differs between the limited-observation and Nash
-    concepts), as rows over the csup coordinates.
-    """
-
-    def __init__(self, game: Game, mode: str, p2_rows, upper_bound=None, prune: bool = True):
+    def __init__(self, game: Game, mode: str, upper_bound=None, prune: bool = True):
         self.game = game
         self.mode = mode
-        self.p2_rows = p2_rows
         self.prune = prune  # False exercises the raw enumeration in tests
         self.upper_bound = None if upper_bound is None else to_mode(upper_bound, mode)
         self.u1, self.u2 = game.payoffs_in_mode(mode)
@@ -265,7 +248,15 @@ class _SupportSearch:
     # -- the P2 side --------------------------------------------------------
 
     def _p2_polytope(self, rsup, csup) -> Polytope:
-        rows = list(self.p2_rows(rsup, csup))
+        """Column mixtures over csup keeping every supported row undominated
+        within its cell."""
+        rset = set(rsup)
+        rows = [
+            (tuple(self.u1[r][c] - self.u1[r2][c] for c in csup), ">=", 0)
+            for cell in self.game.partition.cells
+            for r in cell if r in rset
+            for r2 in cell if r2 != r
+        ]
         rows.append((tuple([1] * len(csup)), "=", 1))
         return Polytope(num_vars=len(csup), constraints=tuple(rows))
 
@@ -387,21 +378,7 @@ def solve_selo(
     dominates) stops the search as soon as it is attained.
     """
     _check_scale(game, allow_large)
-    u1, _ = game.payoffs_in_mode(mode)
-    cells = game.partition.cells
-
-    def p2_rows(rsup, csup):
-        rset = set(rsup)
-        for cell in cells:
-            for r in cell:
-                if r not in rset:
-                    continue
-                for r2 in cell:
-                    if r2 == r:
-                        continue
-                    yield (tuple(u1[r][c] - u1[r2][c] for c in csup), ">=", 0)
-
-    search = _SupportSearch(game, mode, p2_rows, upper_bound)
+    search = _SupportSearch(game, mode, upper_bound)
     value, witness, stats = search.run()
     report = verify_mixed(game, witness, mode)
     return SolveReport(
@@ -415,29 +392,9 @@ def solve_selo(
 
 
 def solve_best_nash(game: Game, mode: str = "exact", allow_large: bool = False) -> SolveReport:
-    """Row-optimal Nash equilibrium by support enumeration (the partition
-    plays no role: every supported row must be a global best response)."""
-    _check_scale(game, allow_large)
-    u1, _ = game.payoffs_in_mode(mode)
-    m = game.num_rows
-
-    def p2_rows(rsup, csup):
-        for r in rsup:
-            for r2 in range(m):
-                if r2 == r:
-                    continue
-                yield (tuple(u1[r][c] - u1[r2][c] for c in csup), ">=", 0)
-
-    search = _SupportSearch(game, mode, p2_rows, None)
-    value, witness, stats = search.run()
-    report = verify_mixed(
-        game.with_partition(SISPartition.one_cell(m)), witness, mode
-    )
-    return SolveReport(
-        concept=BEST_NASH,
-        mode=mode,
-        value=value,
-        witness=witness,
-        verifier_passed=report.passed,
-        stats=stats,
-    )
+    """Row-optimal Nash equilibrium: the one-cell special case of SELO
+    (every supported row must be a global best response)."""
+    merged = game.with_partition(SISPartition.one_cell(game.num_rows))
+    report = solve_selo(merged, mode, allow_large=allow_large)
+    report.concept = BEST_NASH
+    return report

@@ -9,6 +9,7 @@ import random
 from fractions import Fraction as F
 
 from test_deviations import scipy_max_deviation_gain
+from test_solvers import stackelberg_per_column
 
 from partialcommit.deviations import (
     DeviationPlan,
@@ -187,6 +188,7 @@ def test_criterion_5_proposition_suite_random_games():
         assert abs(selo["single"].value - stack.value) <= TOL
         assert abs(seslo["one"].value - ce.value) <= TOL
         assert abs(seslo["single"].value - stack.value) <= TOL
+        assert abs(stack.value - stackelberg_per_column(base, "float")) <= TOL
         # refinement chain one-cell -> round-robin -> singletons
         assert seslo["mid"].value >= seslo["one"].value - TOL
         assert seslo["single"].value >= seslo["mid"].value - TOL

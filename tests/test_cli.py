@@ -87,6 +87,18 @@ class TestMalformedInput:
                 "verify", _GOOD_GAME, '{"p": [[0, "1/2"], ["1/2"]]}', "DimensionMismatch",
                 id="ragged-profile",
             ),
+            pytest.param(
+                "solve", _GOOD_GAME[:-1] + ', "row_labels": "ab"}', None, "DimensionMismatch",
+                id="labels-string",
+            ),
+            pytest.param(
+                "solve", _GOOD_GAME[:-1] + ', "row_labels": [1, 2]}', None, "DimensionMismatch",
+                id="labels-not-strings",
+            ),
+            pytest.param(
+                "solve", _GOOD_GAME[:-1] + ', "col_labels": 5}', None, "DimensionMismatch",
+                id="labels-not-list",
+            ),
         ],
     )
     def test_exit_code(self, tmp_path, capsys, command, game_text, profile_text, error):

@@ -9,6 +9,8 @@ point, objective, basis and duals).
 import random
 from fractions import Fraction
 
+from test_solvers import _induce_column_lp
+
 from partialcommit import deviations
 from partialcommit.deviations import SignalModel, find_deviation
 from partialcommit.games import Game, SISPartition
@@ -23,7 +25,7 @@ from partialcommit.linprog import (
     _standardize,
     solve_lp,
 )
-from partialcommit.solvers import _induce_column_lp, _seslo_lp, _SupportSearch, solve_seslo
+from partialcommit.solvers import _seslo_lp, _SupportSearch, solve_seslo
 
 
 def reference_simplex_exact(std):
@@ -162,7 +164,7 @@ def test_solver_lps_match_reference(monkeypatch):
         u1, u2 = game.payoffs_in_mode("exact")
         lps = [_seslo_lp(u1, u2, game.partition, m, n)]
         lps += [_induce_column_lp(u1, u2, m, n, c) for c in range(n)]
-        search = _SupportSearch(game, "exact", p2_rows=None)
+        search = _SupportSearch(game, "exact")
         for _ in range(4):
             rsup = tuple(sorted(rng.sample(range(m), rng.randint(1, m))))
             csup = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))

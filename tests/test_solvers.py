@@ -25,6 +25,7 @@ from partialcommit.instances import (
     gen_x3c_game,
     solve_x3c_bruteforce,
 )
+from partialcommit.linprog import OPTIMAL, LinearProgram, solve_lp
 from partialcommit.solvers import (
     BEST_NASH,
     MAX_CE,
@@ -72,6 +73,28 @@ def scipy_max_ce_value(game) -> float:
     )
     assert res.status == 0
     return -res.fun
+
+
+def _induce_column_lp(u1, u2, m: int, n: int, cstar: int) -> LinearProgram:
+    """Best row payoff in column ``cstar`` over row mixtures that make
+    ``cstar`` a best response."""
+    cons = []
+    for c in range(n):
+        if c == cstar:
+            continue
+        cons.append((tuple(u2[r][cstar] - u2[r][c] for r in range(m)), ">=", 0))
+    cons.append((tuple([1] * m), "=", 1))
+    obj = tuple(u1[r][cstar] for r in range(m))
+    return LinearProgram(obj, "max", tuple(cons), m)
+
+
+def stackelberg_per_column(game, mode):
+    """Stackelberg value by the classic one-LP-per-column method, kept as an
+    oracle independent of the signal LP the solver uses."""
+    u1, u2 = game.payoffs_in_mode(mode)
+    m, n = game.num_rows, game.num_cols
+    outs = [solve_lp(_induce_column_lp(u1, u2, m, n, c), mode) for c in range(n)]
+    return max(out.value for out in outs if out.status == OPTIMAL)
 
 
 def _slack_game():
@@ -176,6 +199,21 @@ class TestStackelberg:
         game = Game([[5]], [[7]], SISPartition.one_cell(1))
         assert solve_stackelberg(game).value == 5
 
+    def test_witness_induces_the_heaviest_column(self):
+        # the float signal LP puts 8.3e-17 mass on column 0; the conditional
+        # given that column would fail the verifier
+        game = Game(
+            [[2, 0, 0, 1], [3, 0, 0, 3], [0, 3, 1, 1]],
+            [[0, 3, 2, 3], [1, 3, 1, 0], [2, 0, 0, 1]],
+            SISPartition([[0, 2], [1]], 3),
+        )
+        flt = solve_stackelberg(game, mode="float")
+        assert flt.verifier_passed
+        assert flt.witness.sigma2 == (0, 1, 0, 0)
+        exact = solve_stackelberg(game)
+        assert exact.value == F(27, 16) == stackelberg_per_column(game, "exact")
+        assert exact.stats.lps_solved == 1
+
     def test_partition_ignored(self):
         game = gen_example(EXAMPLE_4X2)
         a = solve_stackelberg(game)
@@ -254,28 +292,14 @@ class TestPruningSoundness:
         # bound-versus-best boundary mistake
         from partialcommit.solvers import _SupportSearch
 
-        def selo_rows(game, u1):
-            def p2_rows(rsup, csup):
-                rset = set(rsup)
-                for cell in game.partition.cells:
-                    for r in cell:
-                        if r not in rset:
-                            continue
-                        for r2 in cell:
-                            if r2 == r:
-                                continue
-                            yield (tuple(u1[r][c] - u1[r2][c] for c in csup), ">=", 0)
-            return p2_rows
-
         rng = random.Random(606)
         for trial in range(12):
             m, n = rng.choice([(3, 3), (4, 3), (3, 4), (4, 2)])
             u1 = [[F(rng.randint(0, 3)) for _ in range(n)] for _ in range(m)]
             u2 = [[F(rng.randint(0, 3)) for _ in range(n)] for _ in range(m)]
             game = Game(u1, u2, SISPartition.round_robin(m, rng.randint(1, m)))
-            rows = selo_rows(game, game.payoffs_in_mode("exact")[0])
-            v1, w1, _ = _SupportSearch(game, "exact", rows, prune=True).run()
-            v2, w2, _ = _SupportSearch(game, "exact", rows, prune=False).run()
+            v1, w1, _ = _SupportSearch(game, "exact", prune=True).run()
+            v2, w2, _ = _SupportSearch(game, "exact", prune=False).run()
             assert v1 == v2
             assert (w1.sigma1, w1.sigma2) == (w2.sigma1, w2.sigma2)
 
