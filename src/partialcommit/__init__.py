@@ -24,6 +24,7 @@ from .errors import (
     NonFiniteNumber,
     PartitionInvalid,
     ScaleGuardExceeded,
+    SolverFailure,
     UniverseMismatch,
     UnknownExample,
 )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, SolverFailure
 from .games import (
     FLOAT_TOL,
     CorrelatedProfile,
@@ -347,7 +347,7 @@ def find_deviation(
     )
     out = solve_lp(lp, mode)
     if out.status != OPTIMAL:
-        raise RuntimeError(f"deviation LP unexpectedly {out.status}")
+        raise SolverFailure(f"deviation LP unexpectedly {out.status}")
 
     baseline = sum(p[r][c] * u1[r][c] for r in range(m) for c in range(n))
     gain = out.value - baseline

@@ -1,8 +1,11 @@
 """Exception types shared across the package.
 
 Everything raised on bad user input derives from :class:`GameError`, which
-the CLI maps to exit code 1.  Internal invariant violations use plain
-``RuntimeError`` and are bugs, not user errors.
+the CLI maps to exit code 1.  So does :class:`SolverFailure`: a solver LP
+that ends in a status the game theory rules out (a signal LP cannot be
+infeasible, since every correlated equilibrium is feasible for it) names the
+failing LP instead of ending the command in a traceback.  Other internal
+invariant violations use plain ``RuntimeError`` and are bugs.
 """
 
 
@@ -44,3 +47,8 @@ class InvalidInstance(GameError):
 
 class InvalidParams(GameError):
     """Game family parameters outside their legal range."""
+
+
+class SolverFailure(GameError):
+    """A solver LP ended unexpectedly infeasible or unbounded, or a search
+    found no feasible profile."""

@@ -15,7 +15,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParams
+from .errors import GameError, InvalidParams
 from .games import SISPartition
 from .instances import gen_random
 from .solvers import solve_seslo
@@ -75,7 +75,9 @@ def experiment_values(config: ExperimentConfig) -> dict[tuple[int, int, int], li
                 try:
                     report = solve_seslo(game, "float")
                 except Exception as exc:
-                    raise RuntimeError(
+                    # a GameError keeps its class, so the CLI reports it
+                    cls = type(exc) if isinstance(exc, GameError) else RuntimeError
+                    raise cls(
                         f"solver failed on game seed={seed} (m={m}, n={n}, "
                         f"index={i}, sis_count={k}): {exc}"
                     ) from exc

@@ -8,13 +8,16 @@ single gcd after each update.  It makes the pivot decisions of a rational
 tableau with integer arithmetic only, and builds ``Fraction`` values just
 for the solution, duals and objective it returns.
 
-Float mode vectorizes the pivoting with numpy under a 1e-9 tolerance and
-uses the Dantzig rule with largest-pivot tie-breaking, which wanders far
-less on degenerate programs; every float status is validated (optimality
-certificate, Farkas vector, or improving ray), and anything that cannot be
-certified is re-solved in exact arithmetic, logged at debug level on the
-``partialcommit.linprog`` logger.  Both modes are fully deterministic for a
-fixed input.
+Float mode works on numpy arrays end to end under a 1e-9 tolerance:
+standardization converts the constraint matrix, right-hand side and cost in
+one call each, and the kernel keeps one tableau, the constraint rows over
+``[A | b]`` with the reduced-cost row last, so a pivot is one rank-one
+update.  It uses the Dantzig rule with largest-pivot tie-breaking, which
+wanders far less on degenerate programs; every float status is validated
+(optimality certificate, Farkas vector, or improving ray), and anything that
+cannot be certified is re-solved in exact arithmetic, logged at debug level
+on the ``partialcommit.linprog`` logger.  Both modes are fully deterministic
+for a fixed input.
 
 Artificial columns are kept in the tableau (barred from entering) so the
 final reduced-cost row yields the dual vector for free; every optimal
@@ -88,39 +91,55 @@ class Polytope:
 @dataclass
 class _Certificate:
     # standard-form data the simplex actually solved: min c.y, A y = b, y >= 0
-    # (artificial columns are bookkeeping, not variables of the real program)
-    matrix: list
-    rhs: list
-    cost: list
-    x_std: list
-    duals: list
-    artificials: frozenset
+    # (artificial columns are bookkeeping, not variables of the real program);
+    # lists of Fractions in exact mode, numpy arrays in float mode
+    matrix: list | np.ndarray
+    rhs: list | np.ndarray
+    cost: list | np.ndarray
+    x_std: list | np.ndarray
+    duals: list | np.ndarray
+    artificials: list
     mode: str
 
     def check(self) -> bool:
-        tol = 0 if self.mode == "exact" else FLOAT_TOL * 10
+        if self.mode == "float":
+            return self._check_float()
+        a, b, c, x, y = self.matrix, self.rhs, self.cost, self.x_std, self.duals
+        art = set(self.artificials)
+        if any(v < 0 for v in x) or any(x[j] for j in art):
+            return False
+        if any(sum(a_ij * x_j for a_ij, x_j in zip(row, x)) != b_i for row, b_i in zip(a, b)):
+            return False
+        # dual feasibility: reduced costs nonnegative for the min problem
+        for j in range(len(c)):
+            if j not in art and c[j] < sum(y[i] * a[i][j] for i in range(len(b))):
+                return False
+        return sum(c_j * x_j for c_j, x_j in zip(c, x)) == sum(y_i * b_i for y_i, b_i in zip(y, b))
+
+    def _check_float(self) -> bool:
+        a, x, y, art = self.matrix, self.x_std, self.duals, self.artificials
+        tol = FLOAT_TOL * 10
         # a point the verifiers would reject (they allow FLOAT_TOL) must not
         # pass here, or a float solve could report an infeasible optimum
-        primal_tol = 0 if self.mode == "exact" else FLOAT_TOL
-        n = len(self.cost)
-        if any(x < -primal_tol for x in self.x_std):
+        if (x < -FLOAT_TOL).any() or (np.abs(x[art]) > tol).any():
             return False
-        if any(abs(self.x_std[j]) > tol for j in self.artificials):
+        if (np.abs(_sum_in_order(a * x, 1) - self.rhs) > FLOAT_TOL).any():
             return False
-        for row, b in zip(self.matrix, self.rhs):
-            resid = sum(a * x for a, x in zip(row, self.x_std)) - b
-            if abs(resid) > primal_tol:
-                return False
-        # dual feasibility: reduced costs nonnegative for the min problem
-        for j in range(n):
-            if j in self.artificials:
-                continue
-            rc = self.cost[j] - sum(self.duals[i] * self.matrix[i][j] for i in range(len(self.rhs)))
-            if rc < -tol:
-                return False
-        primal = sum(c * x for c, x in zip(self.cost, self.x_std))
-        dual = sum(y * b for y, b in zip(self.duals, self.rhs))
-        return abs(primal - dual) <= tol * (1 + abs(primal))
+        rc = self.cost - _sum_in_order(y[:, None] * a, 0)
+        rc[art] = 0.0
+        if (rc < -tol).any():
+            return False
+        primal = _sum_in_order(self.cost * x, 0)
+        return bool(abs(primal - _sum_in_order(y * self.rhs, 0)) <= tol * (1 + abs(primal)))
+
+
+def _sum_in_order(terms: np.ndarray, axis: int):
+    """Sums along ``axis``, added first to last as Python's ``sum`` adds
+    them: a verdict at a tolerance's edge must not hang on the order in which
+    a BLAS dot product adds."""
+    if terms.shape[axis] == 0:
+        return terms.sum(axis)
+    return np.add.accumulate(terms, axis).take(-1, axis)
 
 
 @dataclass
@@ -146,57 +165,64 @@ class LpOutcome:
 def _standardize(lp: LinearProgram, mode: str):
     """Normalize signs and lay out slack and artificial columns.
 
-    Returns everything the kernels need to solve min c.y, A y = b, y >= 0.
+    Returns everything the kernels need to solve min c.y, A y = b, y >= 0:
+    the matrix, right-hand side and cost are lists of ``Fraction`` in exact
+    mode and numpy arrays, converted in one call each, in float mode.
     """
-    v = lp.num_vars
-    obj = [to_mode(x, mode) for x in lp.objective]
+    v, m = lp.num_vars, len(lp.constraints)
     flip = lp.sense == "max"
-    cost = [-x for x in obj] if flip else obj
-
-    rows: list[list] = []
-    rels: list[str] = []
-    rhs: list = []
-    for coefs, rel, b in lp.constraints:
-        row = [to_mode(x, mode) for x in coefs]
-        b = to_mode(b, mode)
-        if b < 0:  # make every right-hand side nonnegative
-            row, b, rel = [-a for a in row], -b, {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        rows.append(row)
-        rels.append(rel)
-        rhs.append(b)
+    if mode == "float":
+        a = np.array([coefs for coefs, _, _ in lp.constraints], dtype=float).reshape(m, v)
+        b = np.array([rhs for _, _, rhs in lp.constraints], dtype=float)
+        cost = np.array(lp.objective, dtype=float)
+        neg = b < 0
+        if neg.any():
+            a[neg], b[neg] = -a[neg], -b[neg]
+        neg = neg.tolist()
+    else:
+        a = [[to_mode(x, mode) for x in coefs] for coefs, _, _ in lp.constraints]
+        b = [to_mode(rhs, mode) for _, _, rhs in lp.constraints]
+        cost = [to_mode(x, mode) for x in lp.objective]
+        neg = [x < 0 for x in b]
+        for i in range(m):
+            if neg[i]:
+                a[i], b[i] = [-x for x in a[i]], -b[i]
+    if flip:
+        cost = -cost if mode == "float" else [-x for x in cost]
+    # every right-hand side is now nonnegative; a negated row flips its relation
+    flipped = {"<=": ">=", ">=": "<=", "=": "="}
+    rels = [flipped[rel] if n else rel for (_, rel, _), n in zip(lp.constraints, neg)]
 
     # column layout: structural vars, then slack/surplus, then artificials
-    zero = to_mode(0, mode)
-    one = to_mode(1, mode)
-    m = len(rows)
-    slack_col: list[int | None] = [None] * m
-    art_col: list[int | None] = [None] * m
-    ncols = v
-    for i in range(m):
-        if rels[i] in ("<=", ">="):
-            slack_col[i] = ncols
-            ncols += 1
-    for i in range(m):
-        if rels[i] in ("=", ">="):
-            art_col[i] = ncols
-            ncols += 1
-
-    matrix = [row + [zero] * (ncols - v) for row in rows]
-    for i in range(m):
-        if slack_col[i] is not None:
-            matrix[i][slack_col[i]] = one if rels[i] == "<=" else -one
-        if art_col[i] is not None:
-            matrix[i][art_col[i]] = one
-
-    # column giving the i-th unit vector in the original matrix: the starting
-    # basis, and where the duals are read
-    ident = [art_col[i] if art_col[i] is not None else slack_col[i] for i in range(m)]
+    slack_rows = [i for i in range(m) if rels[i] != "="]
+    art_rows = [i for i in range(m) if rels[i] != "<="]
+    ncols = v + len(slack_rows) + len(art_rows)
+    slack_cols = range(v, v + len(slack_rows))
+    art_cols = list(range(v + len(slack_rows), ncols))
+    zero, one = to_mode(0, mode), to_mode(1, mode)
+    if mode == "float":
+        matrix = np.zeros((m, ncols))
+        matrix[:, :v] = a
+        cost = np.concatenate([cost, np.zeros(ncols - v)])
+    else:
+        matrix = [row + [zero] * (ncols - v) for row in a]
+        cost = cost + [zero] * (ncols - v)
+    # column giving the i-th unit vector in the original matrix (the row's
+    # artificial if it has one, else its slack): the starting basis, and
+    # where the duals are read
+    ident = [None] * m
+    for i, j in zip(slack_rows, slack_cols):
+        matrix[i][j] = one if rels[i] == "<=" else -one
+        ident[i] = j
+    for i, j in zip(art_rows, art_cols):
+        matrix[i][j] = one
+        ident[i] = j
     return {
         "matrix": matrix,
-        "rhs": rhs,
-        "cost": cost + [zero] * (ncols - v),
+        "rhs": b,
+        "cost": cost,
         "basis": ident,
-        "artificials": [c for c in art_col if c is not None],
+        "artificials": art_cols,
         "ident": ident,
         "num_vars": v,
         "ncols": ncols,
@@ -339,113 +365,100 @@ def _simplex_exact(std):
 
 
 def _simplex_float(std):
+    """Two-phase simplex on one tableau: the constraint rows over ``[A | b]``
+    with the reduced-cost row last, so a pivot is one rank-one update."""
     tol = FLOAT_TOL
     ncols = std["ncols"]
-    orig_rhs = np.array([float(b) for b in std["rhs"]])
-    orig = np.array([[float(a) for a in row] for row in std["matrix"]]).reshape(
-        len(orig_rhs), ncols
-    )
-    basis = list(std["basis"])
-    art = set(std["artificials"])
-    real_cols = np.array([j not in art for j in range(ncols)])
-    live = list(range(len(orig_rhs)))
+    orig, orig_rhs = std["matrix"], std["rhs"]
+    m = len(orig_rhs)
+    t = np.zeros((m + 1, ncols + 1))
+    t[:m, :ncols] = orig
+    t[:m, ncols] = orig_rhs
+    basis = np.array(std["basis"], dtype=int)
+    ident = np.array(std["ident"], dtype=int)
+    # the artificial columns come last and never enter
+    real = ncols - len(std["artificials"])
+    live = np.arange(m)  # original row index per tableau row
 
-    state = {"matrix": orig.copy(), "rhs": orig_rhs.copy()}
-
-    def pivot(z, r, j):
-        matrix, rhs = state["matrix"], state["rhs"]
-        prow = matrix[r] / matrix[r, j]
-        prhs = rhs[r] / matrix[r, j]
-        col = matrix[:, j].copy()
+    def pivot(t, r, j):
+        prow = t[r] / t[r, j]
+        col = t[:, j, None].copy()
         col[r] = 0.0
-        matrix -= np.outer(col, prow)
-        rhs -= col * prhs
-        matrix[r] = prow
-        rhs[r] = prhs
-        if z is not None:
-            zj = z[j]
-            if zj:
-                z[:ncols] -= zj * prow
-                z[ncols] -= zj * prhs
+        t -= col * prow
+        t[r] = prow
         basis[r] = j
 
-    def run(cost, enter_mask):
+    def run(t, cost):
         # Dantzig entering with largest-pivot tie-breaking: much less
         # degenerate wandering than Bland on these all-zero-rhs programs.
         # A stall cap hands pathological cases to the exact solver.
-        matrix, rhs = state["matrix"], state["rhs"]
-        z = np.zeros(ncols + 1)
-        z[:ncols] = cost
-        for i, bcol in enumerate(basis):
-            f = cost[bcol]
-            if f:
-                z[:ncols] -= f * matrix[i]
-                z[ncols] -= f * rhs[i]
-        cap = 200 + 40 * (len(rhs) + ncols)
-        for _ in range(cap):
-            matrix, rhs = state["matrix"], state["rhs"]
-            masked = np.where(enter_mask, z[:ncols], 0.0)
-            j = int(masked.argmin())
-            if masked[j] >= -tol:
-                return z, OPTIMAL
-            col = matrix[:, j]
+        t[-1, :ncols] = cost
+        t[-1, ncols] = 0.0
+        for i in cost[basis].nonzero()[0]:
+            t[-1] -= cost[basis[i]] * t[i]
+        z, rhs = t[-1, :real], t[:-1, ncols]  # views that follow the pivots
+        for _ in range(200 + 40 * (len(t) - 1 + ncols)):
+            j = int(z.argmin())
+            if z[j] >= -tol:
+                return OPTIMAL, None
+            col = t[:-1, j]
             # near-zero pivots amplify error 1/|piv|; only fall back to them
             # when no well-scaled candidate exists at all
-            pos = np.nonzero(col > _PIVOT_MIN)[0]
+            pos = (col > _PIVOT_MIN).nonzero()[0]
             if pos.size == 0:
-                pos = np.nonzero(col > tol)[0]
+                pos = (col > tol).nonzero()[0]
                 if pos.size == 0:
-                    state["ray_col"] = j
-                    return z, UNBOUNDED
+                    return UNBOUNDED, j
             ratios = rhs[pos] / col[pos]
             best = ratios.min()
             ties = pos[ratios <= best + tol * (1 + abs(best))]
-            leave = int(max(ties, key=lambda i: (col[i], -basis[i])))
-            pivot(z, leave, j)
-        return z, _STALLED
+            leave = ties[0]
+            if ties.size > 1:  # the largest pivot, then the smallest basic column
+                ties = ties[col[ties] == col[ties].max()]
+                leave = ties[basis[ties].argmin()]
+            pivot(t, int(leave), j)
+        return _STALLED, None
 
-    if art:
-        cost1 = np.where(real_cols, 0.0, 1.0)
-        z, status = run(cost1, real_cols)
+    if real < ncols:
+        cost1 = np.zeros(ncols)
+        cost1[real:] = 1.0
+        status, _ = run(t, cost1)
         if status is _STALLED:
             return {"status": _STALLED}
-        if -z[ncols] > tol * 10:
+        if -t[-1, ncols] > tol * 10:
             # validate the implied Farkas certificate before trusting it
-            y = cost1[std["ident"]] - z[std["ident"]]
+            y = cost1[ident] - t[-1, ident]
             lhs = y @ orig
-            if (y @ orig_rhs) > 1e-8 and float(lhs[real_cols].max(initial=0.0)) <= 1e-7:
+            if (y @ orig_rhs) > 1e-8 and float(lhs[:real].max(initial=0.0)) <= 1e-7:
                 return {"status": INFEASIBLE}
             return {"status": _STALLED}
-        for i in range(len(basis) - 1, -1, -1):
-            if basis[i] in art:
-                row = state["matrix"][i]
-                cands = [j for j in range(ncols) if j not in art and abs(row[j]) > tol]
-                well_scaled = [j for j in cands if abs(row[j]) > _PIVOT_MIN]
-                if cands:
-                    pivot(None, i, (well_scaled or cands)[0])
-                else:
-                    state["matrix"] = np.delete(state["matrix"], i, axis=0)
-                    state["rhs"] = np.delete(state["rhs"], i)
-                    del basis[i], live[i]
+        # drive the artificials out of the basis, last row first; a row with
+        # no real entry left is redundant and is deleted
+        keep = np.ones(m + 1, dtype=bool)
+        for i in (basis >= real).nonzero()[0][::-1]:
+            cands = (np.abs(t[i, :real]) > tol).nonzero()[0]
+            if cands.size:
+                well_scaled = cands[np.abs(t[i, cands]) > _PIVOT_MIN]
+                pivot(t, i, (well_scaled if well_scaled.size else cands)[0])
+            else:
+                keep[i] = False
+        t, basis, live = t[keep], basis[keep[:-1]], live[keep[:-1]]
 
-    cost2 = np.array([float(c) for c in std["cost"]])
-    z, status = run(cost2, real_cols)
+    cost2 = std["cost"]
+    status, ray_col = run(t, cost2)
     if status is _STALLED:
         return {"status": _STALLED}
     x = np.zeros(ncols)
-    for i, bcol in enumerate(basis):
-        x[bcol] = state["rhs"][i]
+    x[basis] = t[:-1, ncols]
     feasible = (
         x.min(initial=0.0) >= -1e-7
         and np.abs(orig @ x - orig_rhs).max(initial=0.0) <= 1e-7
     )
     if status == UNBOUNDED:
         # validate the ray: follows the entering column of the last tableau
-        j = state["ray_col"]
         d = np.zeros(ncols)
-        d[j] = 1.0
-        for i in range(len(basis)):
-            d[basis[i]] = -state["matrix"][i][j]
+        d[ray_col] = 1.0
+        d[basis] = -t[:-1, ray_col]
         ray_ok = (
             feasible
             and d.min(initial=0.0) >= -1e-7
@@ -455,14 +468,13 @@ def _simplex_float(std):
         return {"status": UNBOUNDED if ray_ok else _STALLED}
     if not feasible:
         return {"status": _STALLED}
-    duals = [0.0] * len(std["rhs"])
-    for i in live:
-        duals[i] = float(-z[std["ident"][i]])
+    duals = np.zeros(m)
+    duals[live] = -t[-1, ident[live]]
     return {
         "status": OPTIMAL,
-        "x": [float(v) for v in x],
+        "x": x,
         "obj": float(cost2 @ x),
-        "basis": tuple(sorted(basis)),
+        "basis": tuple(sorted(basis.tolist())),
         "duals": duals,
     }
 
@@ -484,26 +496,26 @@ def solve_lp(lp: LinearProgram, mode: str = "exact") -> LpOutcome:
         return _float_via_exact(lp, "stalled")
     if res["status"] != OPTIMAL:
         return LpOutcome(status=res["status"])
-    x_std = res["x"]
-    # adding zero turns a float -0.0 into 0.0, so no reported zero reads "-0.0"
-    zero = to_mode(0, mode)
-    solution = tuple(x + zero for x in x_std[: std["num_vars"]])
-    user_value = (-res["obj"] if std["flip"] else res["obj"]) + zero
+    solution, duals = res["x"][: std["num_vars"]], res["duals"]
+    value = -res["obj"] if std["flip"] else res["obj"]
+    if mode == "float":
+        # adding zero turns -0.0 into 0.0, so no reported zero reads "-0.0"
+        solution, value, duals = (solution + 0.0).tolist(), value + 0.0, duals.tolist()
     cert = _Certificate(
         matrix=std["matrix"],
         rhs=std["rhs"],
         cost=std["cost"],
-        x_std=list(x_std),
-        duals=list(res["duals"]),
-        artificials=frozenset(std["artificials"]),
+        x_std=res["x"],
+        duals=res["duals"],
+        artificials=std["artificials"],
         mode=mode,
     )
     outcome = LpOutcome(
         status=OPTIMAL,
-        value=user_value,
-        solution=solution,
+        value=value,
+        solution=tuple(solution),
         basis=res["basis"],
-        duals=tuple(res["duals"]),
+        duals=tuple(duals),
         _certificate=cert,
     )
     if mode == "float" and not outcome.check_certificate():
@@ -522,11 +534,11 @@ def _float_via_exact(lp: LinearProgram, reason: str) -> LpOutcome:
         return LpOutcome(status=exact.status)
     cert = exact._certificate
     float_cert = _Certificate(
-        matrix=[[float(a) for a in row] for row in cert.matrix],
-        rhs=[float(b) for b in cert.rhs],
-        cost=[float(c) for c in cert.cost],
-        x_std=[float(x) for x in cert.x_std],
-        duals=[float(y) for y in cert.duals],
+        matrix=np.array(cert.matrix, dtype=float).reshape(len(cert.rhs), len(cert.cost)),
+        rhs=np.array(cert.rhs, dtype=float),
+        cost=np.array(cert.cost, dtype=float),
+        x_std=np.array(cert.x_std, dtype=float),
+        duals=np.array(cert.duals, dtype=float),
         artificials=cert.artificials,
         mode="float",
     )

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .deviations import verify_correlated, verify_mixed
-from .errors import ScaleGuardExceeded
+from .errors import ScaleGuardExceeded, SolverFailure
 from .games import (
     CorrelatedProfile,
     Game,
@@ -118,7 +118,7 @@ def _seslo_optimum(game: Game, mode: str):
     m, n = game.num_rows, game.num_cols
     out = solve_lp(_seslo_lp(u1, u2, game.partition, m, n), mode)
     if out.status != OPTIMAL:
-        raise RuntimeError(f"signal LP unexpectedly {out.status}")
+        raise SolverFailure(f"signal LP unexpectedly {out.status}")
     return out.value, [[out.solution[r * n + c] for c in range(n)] for r in range(m)]
 
 
@@ -299,7 +299,7 @@ class _SupportSearch:
                             done = True
                             break
         if self.best is None:
-            raise RuntimeError("support search found no feasible profile")
+            raise SolverFailure("support search found no feasible profile")
         return self.best, self.witness, self.stats
 
     def _handle_pair(self, rsup, csup) -> bool:
@@ -340,7 +340,7 @@ class _SupportSearch:
             if out.status == INFEASIBLE:
                 break  # P1 does not depend on the vertex
             if out.status != OPTIMAL:
-                raise RuntimeError(f"support LP unexpectedly {out.status}")
+                raise SolverFailure(f"support LP unexpectedly {out.status}")
             if self.best is None or out.value > self.best:
                 zero = to_mode(0, self.mode)
                 sigma1 = [zero] * self.m

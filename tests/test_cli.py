@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from partialcommit import deviations, experiment, solvers
 from partialcommit.cli import main
+from partialcommit.errors import DimensionMismatch
 from partialcommit.games import load_game, save_game, save_profile
 from partialcommit.instances import (
     SIGNALING_5X4,
@@ -11,6 +13,7 @@ from partialcommit.instances import (
     gen_random,
     nine_atom_profile,
 )
+from partialcommit.linprog import INFEASIBLE, UNBOUNDED, LpOutcome
 from partialcommit.solvers import solve_seslo
 
 
@@ -228,3 +231,68 @@ class TestExperimentCommand:
         ])
         assert code == 0
         assert len(csv.read_text().strip().splitlines()) == 4
+
+
+class TestSolverFailure:
+    """Typed errors raised inside a solve end the command with exit 1."""
+
+    @pytest.mark.parametrize(
+        "module, status, argv, message",
+        [
+            pytest.param(solvers, INFEASIBLE, ["solve", "--concept", "seslo"],
+                         "signal LP unexpectedly infeasible", id="seslo"),
+            pytest.param(solvers, UNBOUNDED, ["solve", "--concept", "selo", "--mode", "float"],
+                         "support search found no feasible profile", id="selo"),
+            pytest.param(deviations, UNBOUNDED, ["deviate", "--model", "no-reveal"],
+                         "deviation LP unexpectedly unbounded", id="deviate"),
+        ],
+    )
+    def test_unexpected_lp_status(self, tmp_path, capsys, monkeypatch, module, status, argv,
+                                  message):
+        gpath, ppath = tmp_path / "g.json", tmp_path / "p.json"
+        save_game(gen_example(WEAKSIG_6X4), gpath)
+        save_profile(nine_atom_profile(WEAKSIG_6X4), ppath)
+        argv = argv + ["--game", str(gpath)]
+        if argv[0] == "deviate":
+            argv += ["--profile", str(ppath)]
+        _lp_status(monkeypatch, module, status)
+        assert main(argv) == 1
+        assert f"error: SolverFailure: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "patch, error",
+        [
+            pytest.param(
+                lambda mp: mp.setattr(experiment, "solve_seslo", _raise(DimensionMismatch("bad"))),
+                "DimensionMismatch", id="game-error",
+            ),
+            pytest.param(
+                lambda mp: _lp_status(mp, solvers, INFEASIBLE),
+                "SolverFailure", id="solver-failure",
+            ),
+        ],
+    )
+    def test_experiment_names_the_game(self, tmp_path, capsys, monkeypatch, patch, error):
+        patch(monkeypatch)
+        code = main([
+            "experiment", "--m", "3", "--n", "3", "--games", "2", "--seed", "5",
+            "--out-csv", str(tmp_path / "e.csv"),
+        ])
+        assert code == 1
+        seed = experiment.derive_seed(5, 3, 3, 0)
+        assert (
+            f"error: {error}: solver failed on game seed={seed} (m=3, n=3, index=0, sis_count=1)"
+            in capsys.readouterr().err
+        )
+
+
+def _lp_status(monkeypatch, module, status):
+    """Make every LP ``module`` solves end with ``status``."""
+    monkeypatch.setattr(module, "solve_lp", lambda lp, mode="exact": LpOutcome(status=status))
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail

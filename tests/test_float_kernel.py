@@ -1,0 +1,408 @@
+"""The one-tableau float simplex and the array certificate check make the
+same decisions as the three-array kernel and the loop check they replaced.
+
+``reference_simplex_float`` (separate constraint matrix, right-hand side and
+reduced-cost vectors) and ``reference_certificate_check`` (pure-Python loops)
+are the replaced code, kept unchanged as oracles: on every standardized
+program below the kernels must return the same numbers bit for bit (status,
+primal point, objective, basis and duals), and the checks the same verdicts.
+"""
+
+import dataclasses
+import random
+
+import numpy as np
+
+from partialcommit import deviations, solvers
+from partialcommit.deviations import SignalModel, find_deviation
+from partialcommit.experiment import derive_seed
+from partialcommit.games import FLOAT_TOL
+from partialcommit.instances import gen_random
+from partialcommit.linprog import (
+    _PIVOT_MIN,
+    _STALLED,
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    LinearProgram,
+    _simplex_float,
+    _standardize,
+    _sum_in_order,
+    solve_lp,
+)
+from partialcommit.solvers import _seslo_lp, _SupportSearch, solve_selo, solve_seslo
+
+
+def reference_simplex_float(std):
+    tol = FLOAT_TOL
+    ncols = std["ncols"]
+    orig_rhs = np.array([float(b) for b in std["rhs"]])
+    orig = np.array([[float(a) for a in row] for row in std["matrix"]]).reshape(
+        len(orig_rhs), ncols
+    )
+    basis = list(std["basis"])
+    art = set(std["artificials"])
+    real_cols = np.array([j not in art for j in range(ncols)])
+    live = list(range(len(orig_rhs)))
+
+    state = {"matrix": orig.copy(), "rhs": orig_rhs.copy()}
+
+    def pivot(z, r, j):
+        matrix, rhs = state["matrix"], state["rhs"]
+        prow = matrix[r] / matrix[r, j]
+        prhs = rhs[r] / matrix[r, j]
+        col = matrix[:, j].copy()
+        col[r] = 0.0
+        matrix -= np.outer(col, prow)
+        rhs -= col * prhs
+        matrix[r] = prow
+        rhs[r] = prhs
+        if z is not None:
+            zj = z[j]
+            if zj:
+                z[:ncols] -= zj * prow
+                z[ncols] -= zj * prhs
+        basis[r] = j
+
+    def run(cost, enter_mask):
+        # Dantzig entering with largest-pivot tie-breaking: much less
+        # degenerate wandering than Bland on these all-zero-rhs programs.
+        # A stall cap hands pathological cases to the exact solver.
+        matrix, rhs = state["matrix"], state["rhs"]
+        z = np.zeros(ncols + 1)
+        z[:ncols] = cost
+        for i, bcol in enumerate(basis):
+            f = cost[bcol]
+            if f:
+                z[:ncols] -= f * matrix[i]
+                z[ncols] -= f * rhs[i]
+        cap = 200 + 40 * (len(rhs) + ncols)
+        for _ in range(cap):
+            matrix, rhs = state["matrix"], state["rhs"]
+            masked = np.where(enter_mask, z[:ncols], 0.0)
+            j = int(masked.argmin())
+            if masked[j] >= -tol:
+                return z, OPTIMAL
+            col = matrix[:, j]
+            # near-zero pivots amplify error 1/|piv|; only fall back to them
+            # when no well-scaled candidate exists at all
+            pos = np.nonzero(col > _PIVOT_MIN)[0]
+            if pos.size == 0:
+                pos = np.nonzero(col > tol)[0]
+                if pos.size == 0:
+                    state["ray_col"] = j
+                    return z, UNBOUNDED
+            ratios = rhs[pos] / col[pos]
+            best = ratios.min()
+            ties = pos[ratios <= best + tol * (1 + abs(best))]
+            leave = int(max(ties, key=lambda i: (col[i], -basis[i])))
+            pivot(z, leave, j)
+        return z, _STALLED
+
+    if art:
+        cost1 = np.where(real_cols, 0.0, 1.0)
+        z, status = run(cost1, real_cols)
+        if status is _STALLED:
+            return {"status": _STALLED}
+        if -z[ncols] > tol * 10:
+            # validate the implied Farkas certificate before trusting it
+            y = cost1[std["ident"]] - z[std["ident"]]
+            lhs = y @ orig
+            if (y @ orig_rhs) > 1e-8 and float(lhs[real_cols].max(initial=0.0)) <= 1e-7:
+                return {"status": INFEASIBLE}
+            return {"status": _STALLED}
+        for i in range(len(basis) - 1, -1, -1):
+            if basis[i] in art:
+                row = state["matrix"][i]
+                cands = [j for j in range(ncols) if j not in art and abs(row[j]) > tol]
+                well_scaled = [j for j in cands if abs(row[j]) > _PIVOT_MIN]
+                if cands:
+                    pivot(None, i, (well_scaled or cands)[0])
+                else:
+                    state["matrix"] = np.delete(state["matrix"], i, axis=0)
+                    state["rhs"] = np.delete(state["rhs"], i)
+                    del basis[i], live[i]
+
+    cost2 = np.array([float(c) for c in std["cost"]])
+    z, status = run(cost2, real_cols)
+    if status is _STALLED:
+        return {"status": _STALLED}
+    x = np.zeros(ncols)
+    for i, bcol in enumerate(basis):
+        x[bcol] = state["rhs"][i]
+    feasible = (
+        x.min(initial=0.0) >= -1e-7
+        and np.abs(orig @ x - orig_rhs).max(initial=0.0) <= 1e-7
+    )
+    if status == UNBOUNDED:
+        # validate the ray: follows the entering column of the last tableau
+        j = state["ray_col"]
+        d = np.zeros(ncols)
+        d[j] = 1.0
+        for i in range(len(basis)):
+            d[basis[i]] = -state["matrix"][i][j]
+        ray_ok = (
+            feasible
+            and d.min(initial=0.0) >= -1e-7
+            and np.abs(orig @ d).max(initial=0.0) <= 1e-7
+            and float(cost2 @ d) < -tol
+        )
+        return {"status": UNBOUNDED if ray_ok else _STALLED}
+    if not feasible:
+        return {"status": _STALLED}
+    duals = [0.0] * len(std["rhs"])
+    for i in live:
+        duals[i] = float(-z[std["ident"][i]])
+    return {
+        "status": OPTIMAL,
+        "x": [float(v) for v in x],
+        "obj": float(cost2 @ x),
+        "basis": tuple(sorted(basis)),
+        "duals": duals,
+    }
+
+
+def reference_certificate_check(matrix, rhs, cost, x_std, duals, artificials) -> bool:
+    tol = FLOAT_TOL * 10
+    primal_tol = FLOAT_TOL
+    n = len(cost)
+    if any(x < -primal_tol for x in x_std):
+        return False
+    if any(abs(x_std[j]) > tol for j in artificials):
+        return False
+    for row, b in zip(matrix, rhs):
+        resid = sum(a * x for a, x in zip(row, x_std)) - b
+        if abs(resid) > primal_tol:
+            return False
+    # dual feasibility: reduced costs nonnegative for the min problem
+    for j in range(n):
+        if j in artificials:
+            continue
+        rc = cost[j] - sum(duals[i] * matrix[i][j] for i in range(len(rhs)))
+        if rc < -tol:
+            return False
+    primal = sum(c * x for c, x in zip(cost, x_std))
+    dual = sum(y * b for y, b in zip(duals, rhs))
+    return abs(primal - dual) <= tol * (1 + abs(primal))
+
+
+def _plain(res: dict) -> str:
+    """The result dict with arrays as lists; ``repr`` shows every float bit
+    that matters, the sign of a zero included."""
+    return repr({k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in res.items()})
+
+
+def _reference_structural_part(lp: LinearProgram):
+    """Rows, right-hand sides and costs of the structural columns as the
+    per-coefficient conversion built them (a row with a negative right-hand
+    side negated entry by entry)."""
+    rows, rhs = [], []
+    for coefs, _rel, b in lp.constraints:
+        row, b = [float(a) for a in coefs], float(b)
+        if b < 0:
+            row, b = [-a for a in row], -b
+        rows.append(row)
+        rhs.append(b)
+    cost = [float(c) for c in lp.objective]
+    if lp.sense == "max":
+        cost = [-c for c in cost]
+    return np.array(rows).reshape(len(rows), lp.num_vars), np.array(rhs), np.array(cost)
+
+
+def _same_as_reference(lp: LinearProgram) -> dict:
+    std = _standardize(lp, "float")
+    exact = _standardize(lp, "exact")
+    v, ncols = lp.num_vars, std["ncols"]
+    rows, rhs, cost = _reference_structural_part(lp)
+    # the slack and artificial columns hold 0 and +-1 only, so converting the
+    # exact layout gives their float bits
+    layout = np.array(exact["matrix"], dtype=float).reshape(len(rhs), ncols)[:, v:]
+    assert std["matrix"].tobytes() == np.hstack([rows, layout]).tobytes()
+    assert std["rhs"].tobytes() == rhs.tobytes()
+    assert std["cost"].tobytes() == np.concatenate([cost, np.zeros(ncols - v)]).tobytes()
+    for key in ("basis", "artificials", "ident", "ncols", "num_vars", "flip"):
+        assert std[key] == exact[key], key
+    got = _simplex_float(std)
+    want = reference_simplex_float(std)
+    assert _plain(got) == _plain(want)
+    return got
+
+
+def _captured_lps(module, monkeypatch, run) -> list[LinearProgram]:
+    """Every LP ``module`` hands to ``solve_lp`` while ``run()`` executes."""
+    seen = []
+
+    def record(lp, mode="exact"):
+        seen.append(lp)
+        return solve_lp(lp, mode)
+
+    monkeypatch.setattr(module, "solve_lp", record)
+    try:
+        run()
+    finally:
+        monkeypatch.undo()
+    return seen
+
+
+def _deviation_lps(game, monkeypatch) -> list[LinearProgram]:
+    witness = solve_seslo(game, "float").witness
+
+    def run():
+        for model in SignalModel:
+            find_deviation(game, witness, model, "float")
+
+    return _captured_lps(deviations, monkeypatch, run)
+
+
+def _random_lps(rng: random.Random, count: int) -> list[LinearProgram]:
+    """Random programs; most are built around a feasible point, the rest
+    are often infeasible.  Some repeat an equality row, scaled."""
+    lps = []
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        point = [rng.choice([0.0, rng.uniform(0, 2)]) for _ in range(n)]
+        feasible = rng.random() < 0.6
+        cons = []
+        for _ in range(rng.randint(1, 7)):
+            coefs = tuple(rng.choice([0.0, rng.uniform(-3, 3)]) for _ in range(n))
+            rel = rng.choice(["<=", ">=", "="])
+            b = rng.uniform(-3, 4)
+            if feasible:
+                b = sum(a * x for a, x in zip(coefs, point))
+                b += {"<=": rng.uniform(0, 1), ">=": -rng.uniform(0, 1), "=": 0.0}[rel]
+            cons.append((coefs, rel, b))
+        if rng.random() < 0.3:
+            coefs, _rel, b = cons[0]
+            cons[0] = (coefs, "=", b)
+            cons.append((tuple(2 * a for a in coefs), "=", 2 * b))
+        if rng.random() < 0.7:
+            cons.append((tuple([1.0] * n), "<=", sum(point) + rng.uniform(0, 8)))
+        lps.append(LinearProgram(
+            tuple(rng.uniform(-5, 5) for _ in range(n)), rng.choice(["max", "min"]),
+            tuple(cons), n,
+        ))
+    return lps
+
+
+def _corpus(monkeypatch) -> list[LinearProgram]:
+    rng = random.Random(7)
+    lps = []
+    for seed in range(12):
+        game = gen_random(4, 4, 1, seed=seed)
+        u1, u2 = game.payoffs_in_mode("float")
+        for k in range(1, 5):
+            cells = game.with_partition(game.partition.round_robin(4, k)).partition
+            lps.append(_seslo_lp(u1, u2, cells, 4, 4))
+    for seed in range(6):
+        game = gen_random(4, 3, 2, seed=seed)
+        lps += _captured_lps(solvers, monkeypatch, lambda g=game: solve_selo(g, "float"))
+        search = _SupportSearch(game, "float")
+        for _ in range(4):
+            rsup = tuple(sorted(rng.sample(range(4), rng.randint(1, 4))))
+            csup = tuple(sorted(rng.sample(range(3), rng.randint(1, 3))))
+            lps.append(search._p1_lp(rsup, csup, [rng.uniform(-2, 2) for _ in rsup]))
+        lps += _deviation_lps(game, monkeypatch)
+    return lps + _random_lps(rng, 300)
+
+
+def test_kernel_matches_reference(monkeypatch):
+    results = [_same_as_reference(lp) for lp in _corpus(monkeypatch)]
+    statuses = [res["status"] for res in results]
+    assert len(statuses) > 500
+    assert {OPTIMAL, INFEASIBLE, UNBOUNDED} <= set(statuses)
+    # rows whose artificials stay basic on all-zero rows are deleted
+    assert any(
+        res["status"] == OPTIMAL and len(res["basis"]) < len(res["duals"]) for res in results
+    )
+
+
+def test_hand_built_lps_match_reference():
+    cases = [
+        LinearProgram((1, 1), "max", (((1, -1), ">=", -2), ((1, 2), "<=", 6)), 2),
+        LinearProgram((1, 2, 3), "max", (((1, 1, 1), "=", 1), ((2, 2, 2), "=", 2),
+                                         ((1, -1, 0), "<=", 0)), 3),
+        LinearProgram((1, 1), "max", (((1, 1), "<=", 1), ((1, 1), ">=", 2)), 2),
+        LinearProgram((1, 0), "max", (((1, -1), "<=", 1),), 2),
+        LinearProgram((0, 1), "max", (((1, -1), "=", -1), ((1, 0), ">=", 1)), 2),
+        LinearProgram((1, -1), "min", (), 2),
+    ]
+    statuses = [_same_as_reference(lp)["status"] for lp in cases]
+    assert statuses == [OPTIMAL, OPTIMAL, INFEASIBLE, UNBOUNDED, UNBOUNDED, UNBOUNDED]
+
+
+def _certificates(monkeypatch):
+    for lp in _corpus(monkeypatch)[:200]:
+        out = solve_lp(lp, "float")
+        if out.status == OPTIMAL:
+            yield out._certificate
+
+
+def _verdict(cert, **changes) -> bool:
+    """``cert.check()`` with some fields replaced, asserted equal to the
+    loop check's verdict."""
+    cert = dataclasses.replace(cert, **changes)
+    want = reference_certificate_check(
+        cert.matrix.tolist(), cert.rhs.tolist(), cert.cost.tolist(),
+        cert.x_std.tolist(), cert.duals.tolist(), cert.artificials,
+    )
+    assert cert.check() is want
+    return want
+
+
+def test_certificate_verdicts_match_reference(monkeypatch):
+    rng = np.random.default_rng(3)
+    noisy = []
+    for cert in _certificates(monkeypatch):
+        assert _verdict(cert)
+        x, cost = cert.x_std, cert.cost
+        nonbasic = [j for j in np.flatnonzero(x == 0) if j not in cert.artificials]
+        if nonbasic:
+            j = nonbasic[0]
+            negative = x.copy()
+            negative[j] = -2e-9
+            assert not _verdict(cert, x_std=negative)
+            # a negative reduced cost at a nonbasic column
+            rc = cost[j] - cert.duals @ cert.matrix[:, j]
+            cheaper = cost.copy()
+            cheaper[j] -= rc + 1e-3
+            assert not _verdict(cert, cost=cheaper)
+        residual = cert.rhs.copy()
+        residual[0] += 2e-9
+        assert not _verdict(cert, rhs=residual)
+        # a duality gap: a basic column made dearer raises the primal value only
+        j = int(x.argmax())
+        if x[j] > 0:
+            dearer = cost.copy()
+            dearer[j] += 1e-3 / x[j]
+            assert not _verdict(cert, cost=dearer)
+        # noise near the tolerances, where the verdicts go both ways
+        noisy.append(_verdict(cert, x_std=x + rng.normal(0, 4e-10, len(x))))
+        noisy.append(_verdict(cert, duals=cert.duals + rng.normal(0, 4e-10, len(cert.duals))))
+    assert True in noisy and False in noisy
+
+
+def test_sums_add_in_python_order():
+    # terms of mixed magnitude, so the addition order shows in the last bits
+    rng = np.random.default_rng(5)
+    terms = rng.normal(size=(30, 40)) * 10.0 ** rng.integers(-12, 3, size=(30, 40))
+    rows, cols = terms.tolist(), terms.T.tolist()
+    assert _sum_in_order(terms, 1).tolist() == [sum(row) for row in rows]
+    assert _sum_in_order(terms, 0).tolist() == [sum(col) for col in cols]
+    assert _sum_in_order(terms[0], 0) == sum(rows[0])
+    assert terms.sum(1).tolist() != [sum(row) for row in rows]  # numpy adds pairwise
+    assert _sum_in_order(terms[:0], 0).tolist() == [0.0] * 40
+
+
+def test_fallback_certificate_is_checked_on_arrays():
+    # the float optimum of this signal LP fails its certificate, so the LP is
+    # re-solved exactly and the float certificate is built from that solve
+    game = gen_random(4, 4, 1, seed=derive_seed(6707571899452336207, 4, 4, 0))
+    u1, u2 = game.payoffs_in_mode("float")
+    lp = _seslo_lp(u1, u2, game.partition, 4, 4)
+    std = _standardize(lp, "float")
+    assert reference_simplex_float(std)["status"] == OPTIMAL
+    out = solve_lp(lp, "float")
+    exact = solve_lp(lp, "exact")
+    assert out.solution == tuple(float(x) for x in exact.solution)
+    assert isinstance(out._certificate.matrix, np.ndarray)
+    assert _verdict(out._certificate)

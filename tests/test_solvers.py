@@ -140,6 +140,20 @@ class TestSeslo:
         ]
         assert caplog.records[0].levelno == logging.DEBUG
 
+    def test_float_fallback_count(self, caplog):
+        def fallbacks():
+            prefix = "float LP re-solved in exact arithmetic"
+            return sum(r.getMessage().startswith(prefix) for r in caplog.records)
+
+        with caplog.at_level(logging.DEBUG, logger="partialcommit.linprog"):
+            for k in range(1, 5):
+                for seed in range(200):
+                    assert solve_seslo(gen_random(4, 4, k, seed=seed), "float").verifier_passed
+            assert fallbacks() == 0
+            report = solve_seslo(_slack_game(), "float")
+            assert fallbacks() == 1
+        assert report.verifier_passed and round(report.value, 4) == 0.7362
+
     def test_shapley_one_cell_matches_independent_ce_lp(self):
         game = gen_example(SHAPLEY)
         report = solve_seslo(game)
