@@ -13,8 +13,17 @@ model:
 * ``ROW_KNOWS_COLUMN_SIGNAL``: as ``NO_REVEAL``, but the relabeling may also
   condition on the column player's signal.
 
-``find_deviation`` solves one LP per model; the identity plan is always
-feasible, so the reported gain is never negative.
+``find_deviation`` solves an LP only for ``NO_REVEAL``.  The other two
+models have closed forms.  Under ``PUBLIC_REVEAL`` each recommended row
+moves to the row of its cell with the largest ``sum_c p[r][c] * u1[.][c]``.
+Under ``ROW_KNOWS_COLUMN_SIGNAL`` each recommended pair ``(r, c)`` moves to
+the row of r's cell with the largest ``u1[.][c]``; no plan that keeps every
+column's cell masses can do better, since it can at best give each cell's
+mass under column c that cell's best payoff in column c.  Both use the rule
+``verify_mixed`` uses: a row stays unless a row of its cell is strictly
+better, moves to the best row (lowest index on ties), and rows or pairs with
+zero mass stay.  The identity plan is always available, so the reported
+gain is never negative.
 """
 
 from __future__ import annotations
@@ -92,6 +101,20 @@ class VerifyReport:
 
 def _tol(mode: str) -> Number:
     return 0 if mode == "exact" else FLOAT_TOL
+
+
+def _best_row(cell, score, r: int) -> int:
+    """Row that recommended row ``r`` of ``cell`` moves to: the row of the
+    cell with the largest ``score`` (lowest index on ties) when it is
+    strictly better than ``r``, else ``r`` itself."""
+    best = max(cell, key=lambda r2: (score[r2], -r2))
+    return best if score[best] > score[r] else r
+
+
+def _point_masses(target, m: int, mode: str) -> tuple:
+    """Deterministic plan rows: all mass on ``target[i]`` in row ``i``."""
+    zero, one = to_mode(0, mode), to_mode(1, mode)
+    return tuple(tuple(one if r2 == t else zero for r2 in range(m)) for t in target)
 
 
 def embed_mixed_as_correlated(profile: MixedProfile) -> CorrelatedProfile:
@@ -200,15 +223,13 @@ def verify_mixed(game: Game, profile: MixedProfile, mode: str = "exact") -> Veri
     row_gain = to_mode(0, mode)
     target = list(range(m))
     for cell in game.partition.cells:
-        best_r = max(cell, key=lambda r: (row_payoff[r], -r))
         for r in cell:
-            if s1[r] > tol and row_payoff[best_r] > row_payoff[r]:
-                row_gain += s1[r] * (row_payoff[best_r] - row_payoff[r])
-                target[r] = best_r
+            if s1[r] > tol:
+                target[r] = _best_row(cell, row_payoff, r)
+                row_gain += s1[r] * (row_payoff[target[r]] - row_payoff[r])
     row_witness = None
     if row_gain > tol:
-        delta = [[to_mode(1 if r2 == target[r] else 0, mode) for r2 in range(m)] for r in range(m)]
-        row_witness = DeviationPlan(SignalModel.PUBLIC_REVEAL, delta, row_gain)
+        row_witness = DeviationPlan(SignalModel.PUBLIC_REVEAL, _point_masses(target, m, mode), row_gain)
     else:
         row_gain = to_mode(0, mode)
 
@@ -278,90 +299,51 @@ def find_deviation(
     u1, _ = game.payoffs_in_mode(mode)
     p = profile.in_mode(mode).p
     m, n = game.num_rows, game.num_cols
-    part = game.partition
-    conditioned = model is SignalModel.ROW_KNOWS_COLUMN_SIGNAL
-
-    # variable layout
-    if conditioned:
-        var_of = {(r, c, r2): i for i, (r, c, r2) in enumerate(
-            (r, c, r2) for r in range(m) for c in range(n) for r2 in range(m)
-        )}
+    cell_of = game.partition.cell_of
+    if model is SignalModel.NO_REVEAL:
+        delta, gain = _no_reveal_plan(u1, p, game.partition, mode)
     elif model is SignalModel.PUBLIC_REVEAL:
-        pairs = [(r, r2) for cell in part.cells for r in cell for r2 in cell]
-        pairs.sort()
-        var_of = {pair: i for i, pair in enumerate(pairs)}
-    else:
-        var_of = {(r, r2): r * m + r2 for r in range(m) for r2 in range(m)}
-    nvars = len(var_of)
-    zero = to_mode(0, mode)
-
-    def blank():
-        return [zero] * nvars
-
-    objective = blank()
-    if conditioned:
-        for (r, c, r2), i in var_of.items():
-            objective[i] = p[r][c] * u1[r2][c]
-    else:
-        for (r, r2), i in var_of.items():
-            objective[i] = sum(p[r][c] * u1[r2][c] for c in range(n))
-
-    constraints = []
-    if conditioned:
+        gain, target = to_mode(0, mode), []
         for r in range(m):
-            for c in range(n):
-                row = blank()
-                for r2 in range(m):
-                    row[var_of[(r, c, r2)]] = to_mode(1, mode)
-                constraints.append((tuple(row), "=", 1))
+            cell = cell_of(r)
+            score = {r2: sum(p[r][c] * u1[r2][c] for c in range(n)) for r2 in cell}
+            target.append(_best_row(cell, score, r))
+            gain += score[target[r]] - score[r]
+        delta = _point_masses(target, m, mode)
     else:
+        columns = list(zip(*u1))
+        gain, delta = to_mode(0, mode), []
         for r in range(m):
-            row = blank()
-            for r2 in range(m):
-                if (r, r2) in var_of:
-                    row[var_of[(r, r2)]] = to_mode(1, mode)
-            constraints.append((tuple(row), "=", 1))
-
-    if model in (SignalModel.NO_REVEAL, SignalModel.ROW_KNOWS_COLUMN_SIGNAL):
-        # preserve the observed cell distribution given each sent column signal
-        for c in range(n):
-            marginal = sum(p[r][c] for r in range(m))
-            if marginal <= _tol(mode):
-                continue
-            for cell in part.cells:
-                row = blank()
-                for r in range(m):
-                    if p[r][c] == 0:
-                        continue
-                    for r2 in cell:
-                        key = (r, c, r2) if conditioned else (r, r2)
-                        row[var_of[key]] += p[r][c]
-                rhs = sum(p[r][c] for r in cell)
-                constraints.append((tuple(row), "=", rhs))
-
-    lp = LinearProgram(
-        objective=tuple(objective),
-        sense="max",
-        constraints=tuple(constraints),
-        num_vars=nvars,
-    )
-    out = solve_lp(lp, mode)
-    if out.status != OPTIMAL:
-        raise SolverFailure(f"deviation LP unexpectedly {out.status}")
-
-    baseline = sum(p[r][c] * u1[r][c] for r in range(m) for c in range(n))
-    gain = out.value - baseline
+            target = [_best_row(cell_of(r), columns[c], r) if p[r][c] else r for c in range(n)]
+            gain += sum(p[r][c] * (u1[t][c] - u1[r][c]) for c, t in enumerate(target))
+            delta.append(_point_masses(target, m, mode))
     if mode == "float" and abs(gain) < FLOAT_TOL:
         gain = 0.0
-
-    if conditioned:
-        delta = tuple(
-            tuple(tuple(out.solution[var_of[(r, c, r2)]] for r2 in range(m)) for c in range(n))
-            for r in range(m)
-        )
-    else:
-        delta = tuple(
-            tuple(out.solution[var_of[(r, r2)]] if (r, r2) in var_of else zero for r2 in range(m))
-            for r in range(m)
-        )
     return DeviationPlan(model=model, delta=delta, gain=gain)
+
+
+def _no_reveal_plan(u1, p, partition, mode: str) -> tuple[tuple, Number]:
+    """(delta, gain) of the no-reveal LP: variable ``r * m + r2`` is
+    ``delta[r][r2]``, and the plan must keep every column's cell masses."""
+    m, n = len(p), len(p[0])
+    zero, one = to_mode(0, mode), to_mode(1, mode)
+    objective = tuple(
+        sum(p[r][c] * u1[r2][c] for c in range(n)) for r in range(m) for r2 in range(m)
+    )
+    constraints = [
+        (tuple(one if r3 == r else zero for r3 in range(m) for _ in range(m)), "=", 1)
+        for r in range(m)
+    ]
+    # preserve the observed cell distribution given each sent column signal
+    for c in range(n):
+        if sum(p[r][c] for r in range(m)) <= _tol(mode):
+            continue
+        for cell in partition.cells:
+            row = tuple(p[r][c] if r2 in cell else zero for r in range(m) for r2 in range(m))
+            constraints.append((row, "=", sum(p[r][c] for r in cell)))
+    out = solve_lp(LinearProgram(objective, "max", tuple(constraints), m * m), mode)
+    if out.status != OPTIMAL:
+        raise SolverFailure(f"deviation LP unexpectedly {out.status}")
+    baseline = sum(p[r][c] * u1[r][c] for r in range(m) for c in range(n))
+    delta = tuple(out.solution[r * m:(r + 1) * m] for r in range(m))
+    return delta, out.value - baseline

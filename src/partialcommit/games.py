@@ -287,6 +287,14 @@ def _check_distribution(values: tuple, what: str, mode: str) -> tuple:
     return tuple(max(v, 0.0) / total for v in values)
 
 
+def _all_in_mode(values, mode: str) -> bool:
+    """Are ``values`` already numbers of ``mode``?  A profile that is gets
+    returned as it is by ``in_mode``: converting it again would renormalize
+    a float profile and change its last bits."""
+    kind = {"exact": Fraction, "float": float}.get(mode)
+    return kind is not None and all(isinstance(x, kind) for x in values)
+
+
 @dataclass(frozen=True)
 class MixedProfile:
     """Independent mixed strategies for the two players."""
@@ -303,6 +311,8 @@ class MixedProfile:
         object.__setattr__(self, "sigma2", s2)
 
     def in_mode(self, mode: str) -> "MixedProfile":
+        if _all_in_mode(self.sigma1 + self.sigma2, mode):
+            return self
         return MixedProfile(self.sigma1, self.sigma2, mode)
 
 
@@ -332,6 +342,8 @@ class CorrelatedProfile:
         return len(self.p[0])
 
     def in_mode(self, mode: str) -> "CorrelatedProfile":
+        if _all_in_mode([x for row in self.p for x in row], mode):
+            return self
         return CorrelatedProfile(self.p, mode)
 
     def column_marginal(self, c: int) -> Number:

@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from partialcommit import deviations, experiment, solvers
 from partialcommit.cli import main
 from partialcommit.errors import DimensionMismatch
-from partialcommit.games import load_game, save_game, save_profile
+from partialcommit.games import CorrelatedProfile, load_game, save_game, save_profile
 from partialcommit.instances import (
+    SHAPLEY,
     SIGNALING_5X4,
     WEAKSIG_6X4,
     gen_example,
@@ -159,6 +165,48 @@ class TestVerifyAndDeviate:
         with pytest.raises(SystemExit) as exc:
             main(["deviate", "--game", "x", "--profile", "y", "--model", "bogus"])
         assert exc.value.code == 2
+
+
+#: runs the CLI with ``import scipy`` failing: the arguments are a game file
+#: and a profile file; every ``solve`` concept in both modes and ``deviate``
+#: under every signal model must exit 0
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    sys.exit("scipy is still importable")
+from partialcommit.cli import main
+game, profile = sys.argv[1:]
+runs = [["solve", "--concept", c, "--game", game, "--mode", mode]
+        for c in ("seslo", "selo", "stackelberg", "nash", "ce") for mode in ("exact", "float")]
+runs += [["deviate", "--game", game, "--profile", profile, "--model", model, "--mode", mode]
+         for model in ("public-reveal", "no-reveal", "row-knows") for mode in ("exact", "float")]
+failed = [run for run in runs if main(run) != 0]
+sys.exit(f"failed: {failed}" if failed else 0)
+"""
+
+
+class TestNumpyOnlyRuntime:
+    def test_cli_runs_without_scipy(self, tmp_path):
+        gpath, ppath = tmp_path / "g.json", tmp_path / "p.json"
+        save_game(gen_example(SHAPLEY), gpath)
+        w = Fraction(1, 6)
+        save_profile(CorrelatedProfile([[0, w, w], [w, 0, w], [w, w, 0]]), ppath)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        ))
+        out = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_SCIPY, str(gpath), str(ppath)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.count('"verifier_passed": true') == 10
+        assert out.stdout.count('"gain":') == 6
 
 
 class TestGen:

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from scipy.optimize import linprog as scipy_linprog
 
+from partialcommit import deviations
 from partialcommit.deviations import (
     DeviationPlan,
     SignalModel,
@@ -16,6 +17,7 @@ from partialcommit.deviations import (
     verify_mixed,
 )
 from partialcommit.games import (
+    FLOAT_TOL,
     CorrelatedProfile,
     Game,
     MixedProfile,
@@ -31,6 +33,8 @@ from partialcommit.instances import (
     gen_random,
     nine_atom_profile,
 )
+from partialcommit.linprog import OPTIMAL, LinearProgram, solve_lp
+from partialcommit.solvers import solve_seslo
 
 
 def scipy_max_deviation_gain(game, profile, model) -> float:
@@ -159,6 +163,23 @@ class TestVerifyCorrelated:
         report = verify_correlated(game, CorrelatedProfile(p))
         assert not report.passed
         assert report.max_row_gain > 0 or report.max_column_gain > 0
+
+    def test_checks_the_witness_as_reported(self):
+        # this float SESLO witness does not sum to exactly 1.0, so converting
+        # it to float mode again would renormalize it and change last bits
+        game = gen_random(4, 4, 1, seed=4)
+        witness = solve_seslo(game, "float").witness
+        assert witness.in_mode("float") is witness
+        u2 = game.payoffs_in_mode("float")[1]
+        p = witness.p
+        col_gain = max(
+            sum(p[r][c] * (u2[r][c2] - u2[r][c]) for r in range(4))
+            for c in range(4)
+            for c2 in range(4)
+            if c2 != c
+        )
+        assert col_gain > 0
+        assert verify_correlated(game, witness, "float").max_column_gain == col_gain
 
     def test_matches_public_reveal_deviation_sign(self):
         rng = random.Random(9)
@@ -328,3 +349,174 @@ class TestFindDeviation:
     def test_plan_row_sums_validated(self):
         with pytest.raises(Exception):
             DeviationPlan(SignalModel.NO_REVEAL, [[F(1, 2), 0], [0, 1]], 0)
+
+
+def retired_deviation_lp(game, profile, model, mode) -> LinearProgram:
+    """The LP ``find_deviation`` solved for ``model`` before its closed form,
+    kept as an oracle: public-reveal over the within-cell pairs (r, r2),
+    row-knows over every (r, c, r2), keeping each column's cell masses."""
+    u1, _ = game.payoffs_in_mode(mode)
+    p = profile.in_mode(mode).p
+    m, n = game.num_rows, game.num_cols
+    if model is SignalModel.PUBLIC_REVEAL:
+        keys = sorted((r, r2) for cell in game.partition.cells for r in cell for r2 in cell)
+        obj = [sum(p[r][c] * u1[r2][c] for c in range(n)) for r, r2 in keys]
+        cons = [(tuple(int(k[0] == r) for k in keys), "=", 1) for r in range(m)]
+    else:
+        keys = [(r, c, r2) for r in range(m) for c in range(n) for r2 in range(m)]
+        obj = [p[r][c] * u1[r2][c] for r, c, r2 in keys]
+        cons = [
+            (tuple(int(k[:2] == (r, c)) for k in keys), "=", 1) for r in range(m) for c in range(n)
+        ]
+        for c in range(n):
+            if sum(p[r][c] for r in range(m)) <= (FLOAT_TOL if mode == "float" else 0):
+                continue
+            for cell in game.partition.cells:
+                row = tuple(p[r][c] if c2 == c and r2 in cell else 0 for r, c2, r2 in keys)
+                cons.append((row, "=", sum(p[r][c] for r in cell)))
+    return LinearProgram(tuple(obj), "max", tuple(cons), len(keys))
+
+
+def lp_deviation_gain(game, profile, model, mode):
+    """Best-plan gain by solving ``retired_deviation_lp``."""
+    out = solve_lp(retired_deviation_lp(game, profile, model, mode), mode)
+    assert out.status == OPTIMAL
+    u1, _ = game.payoffs_in_mode(mode)
+    p = profile.in_mode(mode).p
+    return out.value - sum(p[r][c] * u1[r][c] for r in range(len(p)) for c in range(len(p[0])))
+
+
+def _exact(game):
+    return Game(*game.payoffs_in_mode("exact"), game.partition)
+
+
+def _random_joint(rng, m, n):
+    weights = [[rng.choice([0, 0, 1, 2, 3]) for _ in range(n)] for _ in range(m)]
+    weights[rng.randrange(m)][rng.randrange(n)] += 1
+    total = sum(map(sum, weights))
+    return CorrelatedProfile([[F(w, total) for w in row] for row in weights])
+
+
+def deviation_corpus():
+    """Seeded (label, exact game, exact profile) triples: SESLO witnesses and
+    random joint distributions on rounded 4x3 games and on 4x3 games with
+    integer payoffs 0-2 (many ties), and the SESLO witnesses and nine-atom
+    profiles of the example games."""
+    rng = random.Random(2016)
+    cases = []
+    for i in range(20):
+        for kind in ("rounded", "ties"):
+            if kind == "rounded":
+                draw = lambda: F(rng.random()).limit_denominator(100)  # noqa: E731
+            else:
+                draw = lambda: F(rng.randint(0, 2))  # noqa: E731
+            u1 = [[draw() for _ in range(3)] for _ in range(4)]
+            u2 = [[draw() for _ in range(3)] for _ in range(4)]
+            game = Game(u1, u2, SISPartition.round_robin(4, rng.randint(1, 4)))
+            cases.append((f"{kind}{i}/seslo", game, solve_seslo(game).witness))
+            cases.append((f"{kind}{i}/joint", game, _random_joint(rng, 4, 3)))
+    for name in (EXAMPLE_4X2, SHAPLEY, SIGNALING_5X4, WEAKSIG_6X4):
+        game = _exact(gen_example(name))
+        cases.append((f"{name}/seslo", game, solve_seslo(game).witness))
+        cases.append((f"{name}/joint", game, _random_joint(rng, game.num_rows, game.num_cols)))
+    for name in (SIGNALING_5X4, WEAKSIG_6X4):
+        cases.append((f"{name}/nine-atom", _exact(gen_example(name)), nine_atom_profile(name)))
+    return cases
+
+
+CLOSED_FORM_MODELS = (SignalModel.PUBLIC_REVEAL, SignalModel.ROW_KNOWS_COLUMN_SIGNAL)
+
+
+class TestClosedFormOracle:
+    """The closed-form plans reach the optimum of the LPs they replaced."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return deviation_corpus()
+
+    def test_corpus_size(self, corpus):
+        assert len(corpus) * len(CLOSED_FORM_MODELS) >= 150
+
+    @pytest.mark.parametrize("model", CLOSED_FORM_MODELS, ids=lambda m: m.value)
+    def test_exact_gain_equals_lp(self, corpus, model):
+        for label, game, prof in corpus:
+            plan = find_deviation(game, prof, model)
+            assert plan.gain == lp_deviation_gain(game, prof, model, "exact"), label
+            assert plan_is_undetectable(game, prof, plan), label
+            assert plan_gain(game, prof, plan) == plan.gain, label
+
+    @pytest.mark.parametrize("model", CLOSED_FORM_MODELS, ids=lambda m: m.value)
+    def test_float_gain_within_tolerance(self, corpus, model):
+        for label, game, prof in corpus:
+            prof = prof.in_mode("float")
+            plan = find_deviation(game, prof, model, "float")
+            assert abs(plan.gain - lp_deviation_gain(game, prof, model, "float")) <= 1e-9, label
+            assert plan_is_undetectable(game, prof, plan, "float"), label
+            assert abs(plan_gain(game, prof, plan, "float") - plan.gain) <= 1e-9, label
+
+
+def _one_column_game(u1_column, cells):
+    m = len(u1_column)
+    return Game([[x] for x in u1_column], [[0]] * m, SISPartition(cells, m))
+
+
+class TestPlanRule:
+    """A row stays unless a row of its cell is strictly better; it then moves
+    to the best row, lowest index on ties; zero-mass rows and pairs stay."""
+
+    def test_ties_go_to_the_lower_index(self):
+        game = _one_column_game([0, 5, 5], [[0, 1, 2]])
+        prof = CorrelatedProfile([[1], [0], [0]])
+        pub = find_deviation(game, prof, SignalModel.PUBLIC_REVEAL)
+        assert pub.delta == ((0, 1, 0), (0, 1, 0), (0, 0, 1))
+        rks = find_deviation(game, prof, SignalModel.ROW_KNOWS_COLUMN_SIGNAL)
+        assert rks.delta == (((0, 1, 0),), ((0, 1, 0),), ((0, 0, 1),))
+        assert pub.gain == rks.gain == 5
+
+    def test_a_best_row_stays(self):
+        # row 0 ties row 1 as best and has the lower index, yet row 1 stays
+        game = _one_column_game([4, 4, 1], [[0, 1, 2]])
+        prof = CorrelatedProfile([[0], [F(1, 2)], [F(1, 2)]])
+        for model in CLOSED_FORM_MODELS:
+            plan = find_deviation(game, prof, model)
+            rows = plan.delta if model is SignalModel.PUBLIC_REVEAL else [b[0] for b in plan.delta]
+            assert tuple(rows) == ((1, 0, 0), (0, 1, 0), (1, 0, 0))
+            assert plan.gain == F(3, 2)
+
+    def test_zero_mass_rows_and_pairs_stay(self):
+        game = Game([[0, 0], [3, 3], [0, 0], [9, 9]], [[0, 0]] * 4, SISPartition([[0, 1], [2, 3]], 4))
+        prof = CorrelatedProfile([[F(1, 2), 0], [0, 0], [0, F(1, 2)], [0, 0]])
+        pub = find_deviation(game, prof, SignalModel.PUBLIC_REVEAL)
+        assert pub.delta == ((0, 1, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 0, 1))
+        rks = find_deviation(game, prof, SignalModel.ROW_KNOWS_COLUMN_SIGNAL)
+        stay = [tuple(int(r2 == r) for r2 in range(4)) for r in range(4)]
+        assert rks.delta == (
+            ((0, 1, 0, 0), stay[0]),  # column 1 has no mass in row 0
+            (stay[1], stay[1]),
+            (stay[2], (0, 0, 0, 1)),
+            (stay[3], stay[3]),
+        )
+        assert pub.gain == rks.gain == F(3, 2) + F(9, 2)
+
+    def test_verify_mixed_witness_follows_the_same_rule(self):
+        game = gen_example(EXAMPLE_4X2)
+        prof = MixedProfile([F(1, 2), F(1, 2), 0, 0], [1, 0])
+        witness = verify_mixed(game, prof).row_witness
+        plan = find_deviation(game, embed_mixed_as_correlated(prof), SignalModel.PUBLIC_REVEAL)
+        assert witness.delta == plan.delta and witness.gain == plan.gain
+
+
+class TestNoLpForClosedForms:
+    def test_only_no_reveal_solves_an_lp(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("solve_lp called")
+
+        monkeypatch.setattr(deviations, "solve_lp", no_lp)
+        game = gen_example(SIGNALING_5X4)
+        prof = nine_atom_profile(SIGNALING_5X4)
+        for mode in ("exact", "float"):
+            assert find_deviation(game, prof, SignalModel.PUBLIC_REVEAL, mode).gain == 0
+            gain = find_deviation(game, prof, SignalModel.ROW_KNOWS_COLUMN_SIGNAL, mode).gain
+            assert gain == pytest.approx(4, abs=1e-9)
+            with pytest.raises(AssertionError, match="solve_lp called"):
+                find_deviation(game, prof, SignalModel.NO_REVEAL, mode)

@@ -9,6 +9,7 @@ point, objective, basis and duals).
 import random
 from fractions import Fraction
 
+from test_deviations import retired_deviation_lp
 from test_solvers import _induce_column_lp
 
 from partialcommit import deviations
@@ -140,7 +141,9 @@ def _random_game(rng: random.Random, m: int, n: int) -> Game:
 
 
 def _deviation_lps(game: Game, monkeypatch) -> list[LinearProgram]:
-    """The LPs ``find_deviation`` builds on the game's SESLO witness."""
+    """The no-reveal LP ``find_deviation`` builds on the game's SESLO
+    witness, between the public-reveal and row-knows LPs it built before
+    their closed forms."""
     seen = []
 
     def record(lp, mode="exact"):
@@ -149,10 +152,13 @@ def _deviation_lps(game: Game, monkeypatch) -> list[LinearProgram]:
 
     witness = solve_seslo(game).witness
     monkeypatch.setattr(deviations, "solve_lp", record)
-    for model in SignalModel:
-        find_deviation(game, witness, model)
+    find_deviation(game, witness, SignalModel.NO_REVEAL)
     monkeypatch.undo()
-    return seen
+    return [
+        retired_deviation_lp(game, witness, SignalModel.PUBLIC_REVEAL, "exact"),
+        *seen,
+        retired_deviation_lp(game, witness, SignalModel.ROW_KNOWS_COLUMN_SIGNAL, "exact"),
+    ]
 
 
 def test_solver_lps_match_reference(monkeypatch):

@@ -12,6 +12,7 @@ import dataclasses
 import random
 
 import numpy as np
+from test_deviations import retired_deviation_lp
 
 from partialcommit import deviations, solvers
 from partialcommit.deviations import SignalModel, find_deviation
@@ -246,12 +247,15 @@ def _captured_lps(module, monkeypatch, run) -> list[LinearProgram]:
 
 def _deviation_lps(game, monkeypatch) -> list[LinearProgram]:
     witness = solve_seslo(game, "float").witness
-
-    def run():
-        for model in SignalModel:
-            find_deviation(game, witness, model, "float")
-
-    return _captured_lps(deviations, monkeypatch, run)
+    no_reveal = _captured_lps(
+        deviations, monkeypatch,
+        lambda: find_deviation(game, witness, SignalModel.NO_REVEAL, "float"),
+    )
+    return [
+        retired_deviation_lp(game, witness, SignalModel.PUBLIC_REVEAL, "float"),
+        *no_reveal,
+        retired_deviation_lp(game, witness, SignalModel.ROW_KNOWS_COLUMN_SIGNAL, "float"),
+    ]
 
 
 def _random_lps(rng: random.Random, count: int) -> list[LinearProgram]:

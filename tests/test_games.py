@@ -298,3 +298,28 @@ class TestJsonFormats:
         d = game_to_dict(game)
         assert d["u1"][0][1] == 12
         assert d["partition"] == [[0, 1, 2, 3], [4]]
+
+
+class TestInMode:
+    """A profile already in the asked mode is returned as it is."""
+
+    def test_float_profiles_are_not_renormalized(self):
+        p = CorrelatedProfile([[0.1, 0.2], [0.3, 0.4]], "float")
+        assert p.in_mode("float") is p
+        mixed = MixedProfile([0.1, 0.2, 0.7], [0.3, 0.3, 0.4], "float")
+        assert mixed.in_mode("float") is mixed
+
+    def test_exact_profiles_are_returned_as_they_are(self):
+        p = nine_atom_profile(SIGNALING_5X4)
+        assert p.in_mode("exact") is p
+        mixed = MixedProfile([F(1, 3), F(2, 3)], [1, 0])
+        assert mixed.in_mode("exact") is mixed
+
+    def test_other_mode_converts(self):
+        p = CorrelatedProfile([[F(1, 4), F(3, 4)]])
+        assert p.in_mode("float").p == ((0.25, 0.75),)
+        assert p.in_mode("float").in_mode("exact").p == p.p
+        mixed = MixedProfile([0.25, 0.75], [1.0], "float")
+        assert mixed.in_mode("exact").sigma1 == (F(1, 4), F(3, 4))
+        with pytest.raises(ValueError):
+            p.in_mode("decimal")
