@@ -29,7 +29,6 @@ from .errors import GameError, InvalidParams, PartitionInvalid
 from .experiment import ExperimentConfig, emit_csv, emit_svg, run_experiment
 from .games import (
     CorrelatedProfile,
-    Game,
     MixedProfile,
     SISPartition,
     format_number,
@@ -115,7 +114,7 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _load_profile_for(args, game: Game, want_correlated: bool):
+def _load_profile_for(args, want_correlated: bool):
     profile = load_profile(args.profile, args.mode)
     if want_correlated and isinstance(profile, MixedProfile):
         profile = embed_mixed_as_correlated(profile.in_mode(args.mode))
@@ -124,7 +123,7 @@ def _load_profile_for(args, game: Game, want_correlated: bool):
 
 def _cmd_verify(args) -> int:
     game = load_game(args.game)
-    profile = _load_profile_for(args, game, args.correlated)
+    profile = _load_profile_for(args, args.correlated)
     if isinstance(profile, CorrelatedProfile):
         report = verify_correlated(game, profile, args.mode)
         kind = "correlated"
@@ -154,7 +153,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_deviate(args) -> int:
     game = load_game(args.game)
-    profile = _load_profile_for(args, game, want_correlated=True)
+    profile = _load_profile_for(args, want_correlated=True)
     model = _MODELS[args.model]
     plan = find_deviation(game, profile, model, args.mode)
     human = [

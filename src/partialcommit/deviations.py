@@ -341,7 +341,7 @@ def _no_reveal_plan(u1, p, partition, mode: str) -> tuple[tuple, Number]:
         for cell in partition.cells:
             row = tuple(p[r][c] if r2 in cell else zero for r in range(m) for r2 in range(m))
             constraints.append((row, "=", sum(p[r][c] for r in cell)))
-    out = solve_lp(LinearProgram(objective, "max", tuple(constraints), m * m), mode)
+    out = solve_lp(LinearProgram(objective, tuple(constraints), m * m), mode)
     if out.status != OPTIMAL:
         raise SolverFailure(f"deviation LP unexpectedly {out.status}")
     baseline = sum(p[r][c] * u1[r][c] for r in range(m) for c in range(n))

@@ -249,11 +249,6 @@ def validate_game(raw: Mapping) -> Game:
         u2 = tuple(tuple(parse_number(x) for x in row) for row in u2_raw)
     except (ValueError, TypeError) as exc:
         raise DimensionMismatch(str(exc)) from exc
-    n = len(u1[0])
-    if any(len(row) != n for row in u1):
-        raise DimensionMismatch("ragged u1 matrix")
-    if len(u2) != len(u1) or any(len(row) != n for row in u2):
-        raise DimensionMismatch("u1 and u2 must have identical shapes")
     partition = SISPartition(part_raw, len(u1))
     return Game(u1, u2, partition, _labels(raw, "row_labels"), _labels(raw, "col_labels"))
 
@@ -348,9 +343,6 @@ class CorrelatedProfile:
 
     def column_marginal(self, c: int) -> Number:
         return sum(row[c] for row in self.p)
-
-    def row_marginal(self, r: int) -> Number:
-        return sum(self.p[r])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
 """Deterministic linear programming and vertex enumeration.
 
-Both arithmetic modes run a two-phase tableau simplex.  Exact mode uses
-Bland's smallest-index rule (no rounding anywhere, guaranteed termination) on
-a fraction-free tableau: every row, and the reduced-cost row, is a list of
+One LP form: maximize ``objective . x`` over ``<=`` and ``=`` rows with
+nonnegative right-hand sides, ``x >= 0``.  Every concept is a best row
+payoff, so every LP the package builds has this form; ``x = 0`` meets each
+``<=`` row, so only ``=`` rows need an artificial column.
+
+Both arithmetic modes run a two-phase tableau simplex on min c.y, A y = b,
+y >= 0, with c the negated objective.  Exact mode uses Bland's
+smallest-index rule (no rounding anywhere, guaranteed termination) on a
+fraction-free tableau: every row, and the reduced-cost row, is a list of
 Python ints over one positive denominator, brought to lowest terms by a
 single gcd after each update.  It makes the pivot decisions of a rational
 tableau with integer arithmetic only, and builds ``Fraction`` values just
@@ -13,11 +19,12 @@ standardization converts the constraint matrix, right-hand side and cost in
 one call each, and the kernel keeps one tableau, the constraint rows over
 ``[A | b]`` with the reduced-cost row last, so a pivot is one rank-one
 update.  It uses the Dantzig rule with largest-pivot tie-breaking, which
-wanders far less on degenerate programs; every float status is validated
-(optimality certificate, Farkas vector, or improving ray), and anything that
-cannot be certified is re-solved in exact arithmetic, logged at debug level
-on the ``partialcommit.linprog`` logger.  Both modes are fully deterministic
-for a fixed input.
+wanders far less on degenerate programs; an optimum must pass its
+certificate and an infeasibility verdict its Farkas vector, and anything
+else (a stall, a column with no leaving row, a failed check) is re-solved
+in exact arithmetic, which alone reports unboundedness, and logged at debug
+level on the ``partialcommit.linprog`` logger.  Both modes are fully
+deterministic for a fixed input.
 
 Artificial columns are kept in the tableau (barred from entering) so the
 final reduced-cost row yields the dual vector for free; every optimal
@@ -41,7 +48,7 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-_STALLED = "stalled"  # internal: float kernel hit its iteration cap
+_STALLED = "stalled"  # internal: the float kernel leaves the program to exact mode
 
 _MAX_PIVOTS = 200_000
 
@@ -49,43 +56,51 @@ _MAX_PIVOTS = 200_000
 #: better-scaled pivot is available
 _PIVOT_MIN = 1e-7
 
-Constraint = tuple[Sequence[Number], str, Number]  # (coefficients, '<='|'='|'>=', rhs)
+Constraint = tuple[Sequence[Number], str, Number]  # (coefficients, '<=' | '=', rhs >= 0)
+
+
+def _check_rows(constraints: tuple[Constraint, ...], num_vars: int) -> None:
+    for coefs, rel, rhs in constraints:
+        if len(coefs) != num_vars:
+            raise ValueError("constraint coefficient length must equal num_vars")
+        if rel not in ("<=", "="):
+            raise ValueError(f"relation must be '<=' or '=', got {rel!r}")
+        if rhs < 0:
+            raise ValueError(f"right-hand side must be nonnegative, got {rhs!r}")
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max/min of a linear objective over linear constraints.
+    """Maximize ``objective . x`` over ``<=`` and ``=`` rows with
+    nonnegative right-hand sides, ``x >= 0``.
 
-    Every variable is nonnegative and has no other bound; an upper bound is
-    one more ``<=`` constraint.
+    A ``>=`` row is written as a ``<=`` row with its coefficients negated, a
+    minimum as the maximum of the negated objective, and an upper bound as
+    one more ``<=`` row.
     """
 
     objective: tuple[Number, ...]
-    sense: str  # 'max' | 'min'
     constraints: tuple[Constraint, ...]
     num_vars: int
 
     def __post_init__(self):
-        if self.sense not in ("max", "min"):
-            raise ValueError(f"sense must be 'max' or 'min', got {self.sense!r}")
         if len(self.objective) != self.num_vars:
             raise ValueError("objective length must equal num_vars")
-        for coefs, rel, _rhs in self.constraints:
-            if len(coefs) != self.num_vars:
-                raise ValueError("constraint coefficient length must equal num_vars")
-            if rel not in ("<=", "=", ">="):
-                raise ValueError(f"unknown relation {rel!r}")
+        _check_rows(self.constraints, self.num_vars)
 
 
 @dataclass(frozen=True)
 class Polytope:
-    """Feasible region only; same constraint conventions as LinearProgram."""
+    """Feasible region only: the rows of a :class:`LinearProgram`, ``x >= 0``."""
 
     num_vars: int
     constraints: tuple[Constraint, ...]
     #: not a field: the benchmark's layer trace (perfbench/layers.py,
     #: ``_on_enumerate``) reads it to count inequality rows
     upper_bounds = None
+
+    def __post_init__(self):
+        _check_rows(self.constraints, self.num_vars)
 
 
 @dataclass
@@ -163,58 +178,39 @@ class LpOutcome:
 
 
 def _standardize(lp: LinearProgram, mode: str):
-    """Normalize signs and lay out slack and artificial columns.
+    """Give each ``<=`` row a slack column and each ``=`` row an artificial.
 
-    Returns everything the kernels need to solve min c.y, A y = b, y >= 0:
-    the matrix, right-hand side and cost are lists of ``Fraction`` in exact
-    mode and numpy arrays, converted in one call each, in float mode.
+    Returns everything the kernels need to solve min c.y, A y = b, y >= 0,
+    with ``c`` the negated objective: the matrix, right-hand side and cost
+    are lists of ``Fraction`` in exact mode and numpy arrays, converted in
+    one call each, in float mode.
     """
     v, m = lp.num_vars, len(lp.constraints)
-    flip = lp.sense == "max"
     if mode == "float":
         a = np.array([coefs for coefs, _, _ in lp.constraints], dtype=float).reshape(m, v)
         b = np.array([rhs for _, _, rhs in lp.constraints], dtype=float)
-        cost = np.array(lp.objective, dtype=float)
-        neg = b < 0
-        if neg.any():
-            a[neg], b[neg] = -a[neg], -b[neg]
-        neg = neg.tolist()
+        cost = -np.array(lp.objective, dtype=float)
     else:
         a = [[to_mode(x, mode) for x in coefs] for coefs, _, _ in lp.constraints]
         b = [to_mode(rhs, mode) for _, _, rhs in lp.constraints]
-        cost = [to_mode(x, mode) for x in lp.objective]
-        neg = [x < 0 for x in b]
-        for i in range(m):
-            if neg[i]:
-                a[i], b[i] = [-x for x in a[i]], -b[i]
-    if flip:
-        cost = -cost if mode == "float" else [-x for x in cost]
-    # every right-hand side is now nonnegative; a negated row flips its relation
-    flipped = {"<=": ">=", ">=": "<=", "=": "="}
-    rels = [flipped[rel] if n else rel for (_, rel, _), n in zip(lp.constraints, neg)]
+        cost = [-to_mode(x, mode) for x in lp.objective]
 
-    # column layout: structural vars, then slack/surplus, then artificials
-    slack_rows = [i for i in range(m) if rels[i] != "="]
-    art_rows = [i for i in range(m) if rels[i] != "<="]
-    ncols = v + len(slack_rows) + len(art_rows)
-    slack_cols = range(v, v + len(slack_rows))
-    art_cols = list(range(v + len(slack_rows), ncols))
+    # column layout: structural vars, then slacks, then artificials
+    slack_rows = [i for i, (_, rel, _) in enumerate(lp.constraints) if rel == "<="]
+    art_rows = [i for i, (_, rel, _) in enumerate(lp.constraints) if rel == "="]
+    ncols = v + m
     zero, one = to_mode(0, mode), to_mode(1, mode)
     if mode == "float":
         matrix = np.zeros((m, ncols))
         matrix[:, :v] = a
-        cost = np.concatenate([cost, np.zeros(ncols - v)])
+        cost = np.concatenate([cost, np.zeros(m)])
     else:
-        matrix = [row + [zero] * (ncols - v) for row in a]
-        cost = cost + [zero] * (ncols - v)
-    # column giving the i-th unit vector in the original matrix (the row's
-    # artificial if it has one, else its slack): the starting basis, and
-    # where the duals are read
+        matrix = [row + [zero] * m for row in a]
+        cost = cost + [zero] * m
+    # column giving the i-th unit vector (the row's slack or artificial):
+    # the starting basis, and where the duals are read
     ident = [None] * m
-    for i, j in zip(slack_rows, slack_cols):
-        matrix[i][j] = one if rels[i] == "<=" else -one
-        ident[i] = j
-    for i, j in zip(art_rows, art_cols):
+    for j, i in enumerate(slack_rows + art_rows, v):
         matrix[i][j] = one
         ident[i] = j
     return {
@@ -222,11 +218,10 @@ def _standardize(lp: LinearProgram, mode: str):
         "rhs": b,
         "cost": cost,
         "basis": ident,
-        "artificials": art_cols,
+        "artificials": list(range(v + len(slack_rows), ncols)),
         "ident": ident,
         "num_vars": v,
         "ncols": ncols,
-        "flip": flip,
     }
 
 
@@ -391,7 +386,8 @@ def _simplex_float(std):
     def run(t, cost):
         # Dantzig entering with largest-pivot tie-breaking: much less
         # degenerate wandering than Bland on these all-zero-rhs programs.
-        # A stall cap hands pathological cases to the exact solver.
+        # A stall cap, like a column with no leaving row, hands the program
+        # to the exact solver.
         t[-1, :ncols] = cost
         t[-1, ncols] = 0.0
         for i in cost[basis].nonzero()[0]:
@@ -400,7 +396,7 @@ def _simplex_float(std):
         for _ in range(200 + 40 * (len(t) - 1 + ncols)):
             j = int(z.argmin())
             if z[j] >= -tol:
-                return OPTIMAL, None
+                return OPTIMAL
             col = t[:-1, j]
             # near-zero pivots amplify error 1/|piv|; only fall back to them
             # when no well-scaled candidate exists at all
@@ -408,7 +404,7 @@ def _simplex_float(std):
             if pos.size == 0:
                 pos = (col > tol).nonzero()[0]
                 if pos.size == 0:
-                    return UNBOUNDED, j
+                    return _STALLED
             ratios = rhs[pos] / col[pos]
             best = ratios.min()
             ties = pos[ratios <= best + tol * (1 + abs(best))]
@@ -417,13 +413,12 @@ def _simplex_float(std):
                 ties = ties[col[ties] == col[ties].max()]
                 leave = ties[basis[ties].argmin()]
             pivot(t, int(leave), j)
-        return _STALLED, None
+        return _STALLED
 
     if real < ncols:
         cost1 = np.zeros(ncols)
         cost1[real:] = 1.0
-        status, _ = run(t, cost1)
-        if status is _STALLED:
+        if run(t, cost1) is _STALLED:
             return {"status": _STALLED}
         if -t[-1, ncols] > tol * 10:
             # validate the implied Farkas certificate before trusting it
@@ -445,8 +440,7 @@ def _simplex_float(std):
         t, basis, live = t[keep], basis[keep[:-1]], live[keep[:-1]]
 
     cost2 = std["cost"]
-    status, ray_col = run(t, cost2)
-    if status is _STALLED:
+    if run(t, cost2) is _STALLED:
         return {"status": _STALLED}
     x = np.zeros(ncols)
     x[basis] = t[:-1, ncols]
@@ -454,18 +448,6 @@ def _simplex_float(std):
         x.min(initial=0.0) >= -1e-7
         and np.abs(orig @ x - orig_rhs).max(initial=0.0) <= 1e-7
     )
-    if status == UNBOUNDED:
-        # validate the ray: follows the entering column of the last tableau
-        d = np.zeros(ncols)
-        d[ray_col] = 1.0
-        d[basis] = -t[:-1, ray_col]
-        ray_ok = (
-            feasible
-            and d.min(initial=0.0) >= -1e-7
-            and np.abs(orig @ d).max(initial=0.0) <= 1e-7
-            and float(cost2 @ d) < -tol
-        )
-        return {"status": UNBOUNDED if ray_ok else _STALLED}
     if not feasible:
         return {"status": _STALLED}
     duals = np.zeros(m)
@@ -486,9 +468,10 @@ def _simplex_float(std):
 def solve_lp(lp: LinearProgram, mode: str = "exact") -> LpOutcome:
     """Solve ``lp`` deterministically; see module docstring for guarantees.
 
-    A float-mode optimum whose certificate does not verify (pathological
-    degeneracy) is transparently re-solved exactly and rounded, so float
-    results are always certified too.
+    A float-mode program the float kernel cannot settle (an optimum whose
+    certificate does not verify, or a column with no leaving row) is
+    transparently re-solved exactly and rounded, so float results are always
+    certified too.
     """
     std = _standardize(lp, mode)
     res = _simplex_exact(std) if mode == "exact" else _simplex_float(std)
@@ -497,7 +480,7 @@ def solve_lp(lp: LinearProgram, mode: str = "exact") -> LpOutcome:
     if res["status"] != OPTIMAL:
         return LpOutcome(status=res["status"])
     solution, duals = res["x"][: std["num_vars"]], res["duals"]
-    value = -res["obj"] if std["flip"] else res["obj"]
+    value = -res["obj"]
     if mode == "float":
         # adding zero turns -0.0 into 0.0, so no reported zero reads "-0.0"
         solution, value, duals = (solution + 0.0).tolist(), value + 0.0, duals.tolist()
@@ -604,15 +587,16 @@ def _gauss_solve(rows: list[tuple[list, Number]], dim: int, mode: str):
 
 
 def _polytope_rows(poly: Polytope, mode: str):
-    """All defining constraints and the nonnegativity rows, mode-converted."""
+    """All defining constraints and the nonnegativity rows ``-x_i <= 0``,
+    mode-converted."""
     rows = []
     for coefs, rel, rhs in poly.constraints:
         rows.append(([to_mode(a, mode) for a in coefs], rel, to_mode(rhs, mode)))
     zero, one = to_mode(0, mode), to_mode(1, mode)
     for i in range(poly.num_vars):
         row = [zero] * poly.num_vars
-        row[i] = one
-        rows.append((row, ">=", zero))
+        row[i] = -one
+        rows.append((row, "<=", zero))
     return rows
 
 
@@ -621,8 +605,6 @@ def _satisfies(x, rows, mode: str) -> bool:
     for coefs, rel, rhs in rows:
         lhs = sum(a * v for a, v in zip(coefs, x))
         if rel == "<=" and lhs > rhs + tol:
-            return False
-        if rel == ">=" and lhs < rhs - tol:
             return False
         if rel == "=" and abs(lhs - rhs) > tol:
             return False
@@ -664,5 +646,6 @@ def enumerate_vertices(poly: Polytope, mode: str = "exact") -> list[tuple]:
         if key in seen:
             continue
         seen.add(key)
-        verts.append(tuple(x))
+        # adding zero turns the -0.0 a negated nonnegativity row leaves into 0.0
+        verts.append(tuple(x) if mode == "exact" else tuple(v + 0.0 for v in x))
     return verts

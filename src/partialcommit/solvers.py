@@ -109,7 +109,7 @@ def _seslo_lp(u1, u2, partition: SISPartition, m: int, n: int) -> LinearProgram:
             cons.append((tuple(row), "<=", 0))
     cons.append((tuple([1] * nv), "=", 1))
     obj = tuple(u1[r][c] for r in range(m) for c in range(n))
-    return LinearProgram(obj, "max", tuple(cons), nv)
+    return LinearProgram(obj, tuple(cons), nv)
 
 
 def _seslo_optimum(game: Game, mode: str):
@@ -211,10 +211,10 @@ class _SupportSearch:
                 if c2 == c:
                     continue
                 cons.append(
-                    (tuple(self.u2[r][c] - self.u2[r][c2] for r in rsup), ">=", 0)
+                    (tuple(self.u2[r][c2] - self.u2[r][c] for r in rsup), "<=", 0)
                 )
         cons.append((tuple([1] * len(rsup)), "=", 1))
-        return LinearProgram(tuple(objective), "max", tuple(cons), len(rsup))
+        return LinearProgram(tuple(objective), tuple(cons), len(rsup))
 
     def single_cap(self, c: int):
         """Best row payoff in column c over mixtures making c a best response;
@@ -252,7 +252,7 @@ class _SupportSearch:
         within its cell."""
         rset = set(rsup)
         rows = [
-            (tuple(self.u1[r][c] - self.u1[r2][c] for c in csup), ">=", 0)
+            (tuple(self.u1[r2][c] - self.u1[r][c] for c in csup), "<=", 0)
             for cell in self.game.partition.cells
             for r in cell if r in rset
             for r2 in cell if r2 != r
@@ -267,7 +267,6 @@ class _SupportSearch:
         for r in rsup:
             lp = LinearProgram(
                 objective=tuple(self.u1[r][c] for c in csup),
-                sense="max",
                 constraints=poly.constraints,
                 num_vars=len(csup),
             )

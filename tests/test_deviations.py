@@ -374,7 +374,7 @@ def retired_deviation_lp(game, profile, model, mode) -> LinearProgram:
             for cell in game.partition.cells:
                 row = tuple(p[r][c] if c2 == c and r2 in cell else 0 for r, c2, r2 in keys)
                 cons.append((row, "=", sum(p[r][c] for r in cell)))
-    return LinearProgram(tuple(obj), "max", tuple(cons), len(keys))
+    return LinearProgram(tuple(obj), tuple(cons), len(keys))
 
 
 def lp_deviation_gain(game, profile, model, mode):

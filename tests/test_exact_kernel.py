@@ -195,29 +195,33 @@ def test_example_game_lps_match_reference(monkeypatch):
 def test_hand_built_lps_match_reference():
     half = Fraction(1, 2)
     cases = {
-        # ">=" rows and negative right-hand sides
-        "geq_negative_rhs": LinearProgram(
-            (1, 1), "max",
-            (((1, -1), ">=", -2), ((1, 2), "<=", 6), ((-1, 1), ">=", -3)), 2,
+        # x - y >= -2 and x - y <= 3, written as "<=" rows with their
+        # coefficients negated where needed
+        "negated_rows": LinearProgram(
+            (1, 1), (((-1, 1), "<=", 2), ((1, 2), "<=", 6), ((1, -1), "<=", 3)), 2,
         ),
-        "min_geq": LinearProgram(
-            (2, 3, 1), "min",
-            (((1, 1, 1), ">=", 2), ((1, -1, 0), "<=", -1), ((0, 1, 2), "=", 3)), 3,
+        # min 2x + 3y + z with x + y + z >= 2 and y - x >= 1: the minimum as
+        # the maximum of the negated cost, each ">=" row as an equality with
+        # a surplus variable of its own
+        "surplus_variables": LinearProgram(
+            (-2, -3, -1, 0, 0),
+            (((1, 1, 1, -1, 0), "=", 2), ((-1, 1, 0, 0, -1), "=", 1), ((0, 1, 2, 0, 0), "=", 3)),
+            5,
         ),
         # the second and third rows repeat the first: after phase 1 their
         # artificials stay basic on all-zero rows and the rows are deleted
         "redundant_equalities": LinearProgram(
-            (1, 2, 3), "max",
+            (1, 2, 3),
             (((1, 1, 1), "=", 1), ((2, 2, 2), "=", 2), ((half, half, half), "=", half),
              ((1, -1, 0), "<=", 0)), 3,
         ),
-        "infeasible": LinearProgram((1, 1), "max", (((1, 1), "<=", 1), ((1, 1), ">=", 2)), 2),
+        "infeasible": LinearProgram((1, 1, 0), (((1, 1, 0), "<=", 1), ((1, 1, -1), "=", 2)), 3),
         "infeasible_equalities": LinearProgram(
-            (1, 0), "min", (((1, 1), "=", 1), ((2, 2), "=", 3)), 2,
+            (-1, 0), (((1, 1), "=", 1), ((2, 2), "=", 3)), 2,
         ),
-        "unbounded": LinearProgram((1, 0), "max", (((1, -1), "<=", 1),), 2),
+        "unbounded": LinearProgram((1, 0), (((1, -1), "<=", 1),), 2),
         "unbounded_after_phase1": LinearProgram(
-            (0, 1), "max", (((1, -1), "=", -1), ((1, 0), ">=", 1)), 2,
+            (0, 1, 0), (((-1, 1, 0), "=", 1), ((1, 0, -1), "=", 1)), 3,
         ),
     }
     out = {name: _same_as_reference(lp) for name, lp in cases.items()}
@@ -236,12 +240,11 @@ def test_random_lps_match_reference():
         cons = []
         for _ in range(rng.randint(1, 6)):
             coefs = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n))
-            cons.append((coefs, rng.choice(["<=", ">=", "="]), Fraction(rng.randint(-4, 6))))
+            cons.append((coefs, rng.choice(["<=", "="]), Fraction(rng.randint(0, 6))))
         if rng.random() < 0.7:
             cons.append((tuple([1] * n), "<=", Fraction(rng.randint(1, 8))))
         lp = LinearProgram(
             tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)),
-            rng.choice(["max", "min"]),
             tuple(cons),
             n,
         )

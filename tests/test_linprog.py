@@ -1,9 +1,11 @@
+import logging
 import random
 from fractions import Fraction as F
 import numpy as np
 import pytest
 from scipy.optimize import linprog as scipy_linprog
 
+from partialcommit import linprog
 from partialcommit.instances import SIGNALING_5X4, gen_example
 from partialcommit.linprog import (
     INFEASIBLE,
@@ -24,15 +26,10 @@ def _scipy_reference(lp: LinearProgram):
         if rel == "<=":
             A_ub.append(row)
             b_ub.append(float(rhs))
-        elif rel == ">=":
-            A_ub.append([-c for c in row])
-            b_ub.append(-float(rhs))
         else:
             A_eq.append(row)
             b_eq.append(float(rhs))
-    c = [float(x) for x in lp.objective]
-    if lp.sense == "max":
-        c = [-x for x in c]
+    c = [-float(x) for x in lp.objective]
     res = scipy_linprog(
         c,
         A_ub=A_ub or None,
@@ -45,22 +42,60 @@ def _scipy_reference(lp: LinearProgram):
         return INFEASIBLE, None
     if res.status == 3:
         return UNBOUNDED, None
-    return OPTIMAL, (-res.fun if lp.sense == "max" else res.fun)
+    return OPTIMAL, -res.fun
+
+
+class TestLpForm:
+    """One form: maximize over "<=" and "=" rows with right-hand sides >= 0."""
+
+    BAD_ROWS = [((1, 1), ">=", 1), ((1, 1), "<=", -1), ((1, -1), "=", F(-1, 2)), ((1, 1), "<", 1)]
+
+    @pytest.mark.parametrize("row", BAD_ROWS)
+    def test_linear_program_rejects_other_rows(self, row):
+        with pytest.raises(ValueError):
+            LinearProgram((1, 1), (((1, 1), "<=", 1), row), 2)
+
+    @pytest.mark.parametrize("row", BAD_ROWS)
+    def test_polytope_rejects_other_rows(self, row):
+        with pytest.raises(ValueError):
+            Polytope(2, (((1, 1), "=", 1), row))
+
+    def test_no_sense_argument(self):
+        with pytest.raises(TypeError):
+            LinearProgram((1,), "max", (((1,), "<=", 1),), 1)
+
+    def test_float_unbounded_is_decided_in_exact_mode(self, caplog, monkeypatch):
+        calls = []
+        exact_kernel = linprog._simplex_exact
+
+        def spy(std):
+            res = exact_kernel(std)
+            calls.append(res["status"])
+            return res
+
+        monkeypatch.setattr(linprog, "_simplex_exact", spy)
+        lp = LinearProgram((1, 0), (((1, -1), "<=", 1),), 2)
+        with caplog.at_level(logging.DEBUG, logger="partialcommit.linprog"):
+            assert solve_lp(lp, "float").status == UNBOUNDED
+        assert calls == [UNBOUNDED]
+        assert [r.getMessage() for r in caplog.records] == [
+            "float LP re-solved in exact arithmetic: stalled"
+        ]
 
 
 class TestSolveLp:
     def test_bounded_variable(self):
-        lp = LinearProgram((1,), "max", (((1,), "<=", 3),), 1)
+        lp = LinearProgram((1,), (((1,), "<=", 3),), 1)
         out = solve_lp(lp)
         assert out.status == OPTIMAL and out.value == 3
         assert out.check_certificate()
 
     def test_infeasible(self):
-        lp = LinearProgram((1,), "max", (((1,), "<=", -1),), 1)
+        lp = LinearProgram((1,), (((1,), "<=", 1), ((2,), "=", 3)), 1)
         assert solve_lp(lp).status == INFEASIBLE
 
     def test_unbounded(self):
-        lp = LinearProgram((1,), "max", (), 1)
+        lp = LinearProgram((1,), (), 1)
         assert solve_lp(lp).status == UNBOUNDED
 
     def test_signaling_lp_value(self):
@@ -89,7 +124,7 @@ class TestSolveLp:
                 cons.append((tuple(row), "<=", 0))
         cons.append((tuple([1] * (m * n)), "=", 1))
         obj = tuple(game.u1[r][c] for r in range(m) for c in range(n))
-        lp = LinearProgram(obj, "max", tuple(cons), m * n)
+        lp = LinearProgram(obj, tuple(cons), m * n)
         out = solve_lp(lp, "exact")
         assert out.status == OPTIMAL
         assert out.value == F(19, 3)
@@ -97,8 +132,8 @@ class TestSolveLp:
 
     def test_deterministic(self):
         lp = LinearProgram(
-            (3, 2, 1), "max",
-            (((1, 1, 1), "<=", 5), ((2, 1, 0), "<=", 6), ((0, 1, 3), ">=", 1)),
+            (3, 2, 1),
+            (((1, 1, 1), "<=", 5), ((2, 1, 0), "<=", 6), ((0, 1, 3), "=", 1)),
             3,
         )
         a = solve_lp(lp, "exact")
@@ -108,7 +143,7 @@ class TestSolveLp:
     def test_float_zero_optimum_is_not_negative_zero(self):
         # the max form is solved as min of the negated cost, whose zero
         # optimum negates to -0.0; reports print it, so it must read 0.0
-        lp = LinearProgram((-1,), "max", (((1,), "<=", 1),), 1)
+        lp = LinearProgram((-1,), (((1,), "<=", 1),), 1)
         out = solve_lp(lp, "float")
         assert repr(out.value) == "0.0" and repr(out.solution) == "(0.0,)"
 
@@ -120,14 +155,9 @@ class TestSolveLp:
             cons = []
             for _ in range(rng.randint(1, 6)):
                 coefs = tuple(F(rng.randint(-4, 4)) for _ in range(n))
-                cons.append((coefs, rng.choice(["<=", ">=", "="]), F(rng.randint(-3, 6))))
+                cons.append((coefs, rng.choice(["<=", "="]), F(rng.randint(0, 6))))
             cons.append((tuple([1] * n), "<=", F(rng.randint(1, 8))))
-            lp = LinearProgram(
-                tuple(F(rng.randint(-5, 5)) for _ in range(n)),
-                rng.choice(["max", "min"]),
-                tuple(cons),
-                n,
-            )
+            lp = LinearProgram(tuple(F(rng.randint(-5, 5)) for _ in range(n)), tuple(cons), n)
             exact = solve_lp(lp, "exact")
             flt = solve_lp(lp, "float")
             ref_status, ref_value = _scipy_reference(lp)
@@ -176,25 +206,26 @@ class TestEnumerateVertices:
         assert verts == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
     def test_half_constrained_simplex(self):
-        poly = Polytope(2, (((1, 1), "=", 1), ((1, 0), ">=", F(1, 2))))
+        # x >= 1/2 on the simplex, written as y <= 1/2
+        poly = Polytope(2, (((1, 1), "=", 1), ((0, 1), "<=", F(1, 2))))
         verts = set(enumerate_vertices(poly))
         assert verts == {(1, 0), (F(1, 2), F(1, 2))}
 
     def test_example_game_column_polytope(self):
         # columns {A,B} with rows {a,d} required best within their cells:
-        # 7a+2b >= 6a+0b and 4a+1b >= 5a+0b on the 2-simplex
+        # 6a+0b <= 7a+2b and 5a+0b <= 4a+1b on the 2-simplex
         game = gen_example("example_4x2")
         cons = (
             ((1, 1), "=", 1),
-            ((game.u1[0][0] - game.u1[1][0], game.u1[0][1] - game.u1[1][1]), ">=", 0),
-            ((game.u1[3][0] - game.u1[2][0], game.u1[3][1] - game.u1[2][1]), ">=", 0),
+            ((game.u1[1][0] - game.u1[0][0], game.u1[1][1] - game.u1[0][1]), "<=", 0),
+            ((game.u1[2][0] - game.u1[3][0], game.u1[2][1] - game.u1[3][1]), "<=", 0),
         )
         verts = enumerate_vertices(Polytope(2, cons))
         assert (F(1, 2), F(1, 2)) in verts
         assert set(verts) == {(F(1, 2), F(1, 2)), (F(0), F(1))}
 
     def test_empty_polytope(self):
-        poly = Polytope(2, (((1, 1), "=", 1), ((1, 1), ">=", 2)))
+        poly = Polytope(2, (((1, 1), "=", 1), ((2, 2), "<=", 1)))
         assert enumerate_vertices(poly) == []
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -250,7 +281,7 @@ class TestEnumerateVertices:
             if not verts:
                 continue
             obj = tuple(F(rng.randint(-5, 5)) for _ in range(dim))
-            lp = LinearProgram(obj, "max", poly.constraints, dim)
+            lp = LinearProgram(obj, poly.constraints, dim)
             out = solve_lp(lp)
             assert out.status == OPTIMAL
             best = max(sum(o * x for o, x in zip(obj, v)) for v in verts)
