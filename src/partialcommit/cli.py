@@ -186,6 +186,13 @@ def _parse_partition(text: str, num_rows: int) -> SISPartition:
     return SISPartition(cells, num_rows)
 
 
+def _parse_ints(text: str, flag: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError as exc:
+        raise InvalidParams(f"{flag} takes comma-separated integers: {exc}") from exc
+
+
 def _cmd_gen(args) -> int:
     fam = args.family
     if fam in EXAMPLE_NAMES:
@@ -193,14 +200,15 @@ def _cmd_gen(args) -> int:
     elif fam == "x3c":
         if args.elements is None or not args.subsets:
             raise InvalidParams("x3c needs --elements and --subsets")
-        subsets = [
-            [int(tok) for tok in chunk.split(",")] for chunk in args.subsets.split(";")
-        ]
+        subsets = [_parse_ints(chunk, "--subsets") for chunk in args.subsets.split(";")]
         game = gen_x3c_game(X3CInstance(args.elements, subsets))
     elif fam in ("close_to_full", "close_to_none"):
         if args.n is None or args.eps is None:
             raise InvalidParams(f"{fam} needs --n and --eps")
-        eps = Fraction(args.eps)
+        try:
+            eps = Fraction(args.eps)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InvalidParams(f"--eps must be a rational like 1/10: {exc}") from exc
         make = gen_close_to_full if fam == "close_to_full" else gen_close_to_none
         game = make(args.n, eps)
         if args.partition:
@@ -222,7 +230,7 @@ def _cmd_gen(args) -> int:
 def _cmd_experiment(args) -> int:
     sis_counts = None
     if args.sis_counts:
-        sis_counts = tuple(int(tok) for tok in args.sis_counts.split(","))
+        sis_counts = tuple(_parse_ints(args.sis_counts, "--sis-counts"))
     config = ExperimentConfig(
         sizes=((args.m, args.n),),
         games_per_point=args.games,

@@ -130,20 +130,14 @@ def apply_plan(profile: CorrelatedProfile, plan: DeviationPlan, mode: str = "exa
     m, n = profile.num_rows, profile.num_cols
     p = profile.p
     out = [[to_mode(0, mode) for _ in range(n)] for _ in range(m)]
-    if plan.model is SignalModel.ROW_KNOWS_COLUMN_SIGNAL:
-        for r in range(m):
-            for c in range(n):
-                if p[r][c] == 0:
-                    continue
-                for r2 in range(m):
-                    out[r2][c] += p[r][c] * plan.delta[r][c][r2]
-    else:
-        for r in range(m):
-            for c in range(n):
-                if p[r][c] == 0:
-                    continue
-                for r2 in range(m):
-                    out[r2][c] += p[r][c] * plan.delta[r][r2]
+    knows_column = plan.model is SignalModel.ROW_KNOWS_COLUMN_SIGNAL
+    for r in range(m):
+        for c in range(n):
+            if p[r][c] == 0:
+                continue
+            moves = plan.delta[r][c] if knows_column else plan.delta[r]
+            for r2 in range(m):
+                out[r2][c] += p[r][c] * moves[r2]
     return CorrelatedProfile(out, mode)
 
 

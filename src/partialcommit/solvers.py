@@ -17,10 +17,20 @@ special cases (singleton cells: everything observable; one cell: nothing).
 * ``solve_best_nash``: ``solve_selo`` with all rows merged into one cell.
 
 Support pairs are visited in increasing total cardinality, lexicographic
-within, and the reported witness is the first optimum in that order.  The
-search skips a pair only when a proven upper bound for it cannot beat the
-best value already found, so values and witnesses are identical to the
-unpruned enumeration.
+within, and the reported witness is the first optimum in that order; in
+float mode a later optimum replaces the best only when it is larger by more
+than rounding (``FLOAT_TOL``, relative).  The search skips a pair only when
+a proven upper bound for it cannot beat the best value already found:
+
+* the rectangle bound, the largest row payoff on rows R_sup x columns C_sup;
+* the column-set caps, the best row payoff in a column over row mixtures
+  keeping that column, and then all of C_sup, best responses (cached per
+  column set; an empty set of such mixtures empties the pair);
+* the pair gate, the best payoff of each supported row over P2, run only
+  when P2 has more than ``_GATE_THRESHOLD`` candidate tight subsets.
+
+So the pruned and unpruned searches report the same value and witness, in
+both modes.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from itertools import combinations
 from .deviations import verify_correlated, verify_mixed
 from .errors import ScaleGuardExceeded, SolverFailure
 from .games import (
+    FLOAT_TOL,
     CorrelatedProfile,
     Game,
     MixedProfile,
@@ -178,6 +189,16 @@ def solve_stackelberg(game: Game, mode: str = "exact") -> SolveReport:
 # support enumeration core (SELO, and best Nash through it)
 
 
+def _support_pairs(m: int, n: int):
+    """Support pairs (rows, columns) in increasing total size, lexicographic
+    within."""
+    for total in range(2, m + n + 1):
+        for a in range(max(1, total - n), min(m, total - 1) + 1):
+            for rsup in combinations(range(m), a):
+                for csup in combinations(range(n), total - a):
+                    yield rsup, csup
+
+
 class _SupportSearch:
     """Vertex-pair search over support pairs with sound pruning."""
 
@@ -191,18 +212,9 @@ class _SupportSearch:
         self.stats = SearchStats()
         self.best = None
         self.witness = None
-        self._rowmax: dict = {}
-        self._single_cap: dict = {}
-        self._csup_info: dict = {}
+        self._csup_cap: dict = {}
 
-    # -- cached bounds ------------------------------------------------------
-
-    def _row_maxima(self, csup):
-        got = self._rowmax.get(csup)
-        if got is None:
-            got = [max(self.u1[r][c] for c in csup) for r in range(self.m)]
-            self._rowmax[csup] = got
-        return got
+    # -- LP bounds ----------------------------------------------------------
 
     def _p1_lp(self, rsup, csup, objective) -> LinearProgram:
         cons = []
@@ -216,34 +228,29 @@ class _SupportSearch:
         cons.append((tuple([1] * len(rsup)), "=", 1))
         return LinearProgram(tuple(objective), tuple(cons), len(rsup))
 
-    def single_cap(self, c: int):
-        """Best row payoff in column c over mixtures making c a best response;
-        None when c can never be a best response."""
-        if c not in self._single_cap:
-            lp = self._p1_lp(tuple(range(self.m)), (c,), [self.u1[r][c] for r in range(self.m)])
+    def _best_optimum(self, lps):
+        """Largest optimum over ``lps``; None at the first program that is not
+        optimal, which here means its region is empty (every region is
+        bounded)."""
+        bound = None
+        for lp in lps:
             out = solve_lp(lp, self.mode)
             self.stats.lps_solved += 1
-            self._single_cap[c] = out.value if out.status == OPTIMAL else None
-        return self._single_cap[c]
+            if out.status != OPTIMAL:
+                return None
+            if bound is None or out.value > bound:
+                bound = out.value
+        return bound
 
     def csup_cap(self, csup):
         """Best row payoff in any csup column over mixtures keeping all of
         csup simultaneously best responses; None when that set is empty."""
-        if csup not in self._csup_info:
-            cap = None
-            feasible = True
-            allrows = tuple(range(self.m))
-            for c in csup:
-                lp = self._p1_lp(allrows, csup, [self.u1[r][c] for r in range(self.m)])
-                out = solve_lp(lp, self.mode)
-                self.stats.lps_solved += 1
-                if out.status != OPTIMAL:
-                    feasible = False
-                    break
-                if cap is None or out.value > cap:
-                    cap = out.value
-            self._csup_info[csup] = cap if feasible else None
-        return self._csup_info[csup]
+        if csup not in self._csup_cap:
+            rows = tuple(range(self.m))
+            self._csup_cap[csup] = self._best_optimum(
+                self._p1_lp(rows, csup, [self.u1[r][c] for r in rows]) for c in csup
+            )
+        return self._csup_cap[csup]
 
     # -- the P2 side --------------------------------------------------------
 
@@ -260,43 +267,22 @@ class _SupportSearch:
         rows.append((tuple([1] * len(csup)), "=", 1))
         return Polytope(num_vars=len(csup), constraints=tuple(rows))
 
-    def _pair_gate(self, rsup, csup, poly) -> bool:
-        """True when the pair can still beat the current best (may solve up
-        to |rsup| LPs over the column polytope, which also detects emptiness)."""
-        bound = None
-        for r in rsup:
-            lp = LinearProgram(
-                objective=tuple(self.u1[r][c] for c in csup),
-                constraints=poly.constraints,
-                num_vars=len(csup),
-            )
-            out = solve_lp(lp, self.mode)
-            self.stats.lps_solved += 1
-            if out.status == INFEASIBLE:
-                return False  # the polytope is empty: same for every r
-            if out.status == OPTIMAL and (bound is None or out.value > bound):
-                bound = out.value
-        return not (self.best is not None and bound is not None and bound <= self.best)
-
     # -- main loop ----------------------------------------------------------
 
+    def _improves(self, value) -> bool:
+        """True when ``value`` replaces the best so far.  A float optimum must
+        beat it by more than rounding, so a later tie keeps the earlier
+        witness and the pruned search agrees with the unpruned one."""
+        if self.best is None:
+            return True
+        tol = 0 if self.mode == "exact" else FLOAT_TOL * (1 + abs(self.best))
+        return value - self.best > tol
+
     def run(self):
-        m, n = self.m, self.n
-        done = False
-        for total in range(2, m + n + 1):
-            if done:
+        for rsup, csup in _support_pairs(self.m, self.n):
+            self.stats.supports_examined += 1
+            if self._handle_pair(rsup, csup):
                 break
-            for a in range(max(1, total - n), min(m, total - 1) + 1):
-                if done:
-                    break
-                for rsup in combinations(range(m), a):
-                    if done:
-                        break
-                    for csup in combinations(range(n), total - a):
-                        self.stats.supports_examined += 1
-                        if self._handle_pair(rsup, csup):
-                            done = True
-                            break
         if self.best is None:
             raise SolverFailure("support search found no feasible profile")
         return self.best, self.witness, self.stats
@@ -305,29 +291,27 @@ class _SupportSearch:
         """Evaluate one support pair; returns True to stop the whole search."""
         best = self.best
         if self.prune:
-            rowmax = self._row_maxima(csup)
-            rect = max(rowmax[r] for r in rsup)
-            if best is not None and rect <= best:
+            if best is not None and max(self.u1[r][c] for r in rsup for c in csup) <= best:
                 return False
-            caps = []
-            for c in csup:
-                cap = self.single_cap(c)
-                if cap is None:
-                    return False  # some column in csup can never be a best response
-                caps.append(cap)
-            if best is not None and max(caps) <= best:
+            # a column that is never a best response on its own empties the pair
+            if any(self.csup_cap((c,)) is None for c in csup):
+                return False
+            if best is not None and max(self.csup_cap((c,)) for c in csup) <= best:
                 return False
             cap = self.csup_cap(csup)
-            if cap is None:
-                return False
-            if best is not None and cap <= best:
+            if cap is None or (best is not None and cap <= best):
                 return False
 
         poly = self._p2_polytope(rsup, csup)
         n_ineq = len(poly.constraints) - 1 + len(csup)  # plus nonnegativity rows
         need = len(csup) - 1
         if self.prune and 0 <= need <= n_ineq and math.comb(n_ineq, need) > _GATE_THRESHOLD:
-            if not self._pair_gate(rsup, csup, poly):
+            # each supported row's best payoff over the column polytope
+            bound = self._best_optimum(
+                LinearProgram(tuple(self.u1[r][c] for c in csup), poly.constraints, len(csup))
+                for r in rsup
+            )
+            if bound is None or (best is not None and bound <= best):
                 return False
         vertices = enumerate_vertices(poly, self.mode)
         for vert in vertices:
@@ -340,7 +324,7 @@ class _SupportSearch:
                 break  # P1 does not depend on the vertex
             if out.status != OPTIMAL:
                 raise SolverFailure(f"support LP unexpectedly {out.status}")
-            if self.best is None or out.value > self.best:
+            if self._improves(out.value):
                 zero = to_mode(0, self.mode)
                 sigma1 = [zero] * self.m
                 for i, r in enumerate(rsup):

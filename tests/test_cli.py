@@ -126,6 +126,27 @@ class TestMalformedInput:
         assert code == 1
         assert f"error: {error}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["gen", "--family", "x3c", "--elements", "6", "--subsets", "0,1,x"],
+                         id="subsets-token"),
+            pytest.param(["gen", "--family", "x3c", "--elements", "6", "--subsets", "0,1,2;"],
+                         id="subsets-empty-chunk"),
+            pytest.param(["gen", "--family", "close_to_full", "--n", "3", "--eps", "abc"],
+                         id="eps-token"),
+            pytest.param(["gen", "--family", "close_to_full", "--n", "3", "--eps", "1/0"],
+                         id="eps-zero-denominator"),
+            pytest.param(["experiment", "--m", "3", "--n", "3", "--games", "1",
+                          "--sis-counts", "1,a"], id="sis-counts-token"),
+        ],
+    )
+    def test_malformed_argument(self, tmp_path, capsys, argv):
+        out = str(tmp_path / "out")
+        argv = argv + (["--out", out] if argv[0] == "gen" else ["--out-csv", out])
+        assert main(argv) == 1
+        assert "error: InvalidParams:" in capsys.readouterr().err
+
 
 class TestVerifyAndDeviate:
     def test_verify_mixed_profile(self, tmp_path, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from scipy.optimize import linprog as scipy_linprog
 
-from partialcommit import experiment
+from partialcommit import experiment, solvers
 from partialcommit.errors import ScaleGuardExceeded
 from partialcommit.games import (
     Game,
@@ -317,21 +317,26 @@ class TestCrossConceptInvariants:
 
 
 class TestPruningSoundness:
-    def test_pruned_search_matches_raw_enumeration(self):
+    def test_pruned_search_matches_raw_enumeration(self, monkeypatch):
         # small-integer payoffs maximize ties, the worst case for any
-        # bound-versus-best boundary mistake
-        from partialcommit.solvers import _SupportSearch
-
+        # bound-versus-best boundary mistake; in float mode the tied optima
+        # differ in the last bits
+        default_threshold = solvers._GATE_THRESHOLD
         rng = random.Random(606)
-        for trial in range(12):
-            m, n = rng.choice([(3, 3), (4, 3), (3, 4), (4, 2)])
+        for trial in range(40):
+            m, n = rng.choice([(3, 3), (4, 3), (3, 4), (4, 2), (5, 3)])
             u1 = [[F(rng.randint(0, 3)) for _ in range(n)] for _ in range(m)]
             u2 = [[F(rng.randint(0, 3)) for _ in range(n)] for _ in range(m)]
             game = Game(u1, u2, SISPartition.round_robin(m, rng.randint(1, m)))
-            v1, w1, _ = _SupportSearch(game, "exact", prune=True).run()
-            v2, w2, _ = _SupportSearch(game, "exact", prune=False).run()
-            assert v1 == v2
-            assert (w1.sigma1, w1.sigma2) == (w2.sigma1, w2.sigma2)
+            for mode in ("exact", "float"):
+                v2, w2, _ = solvers._SupportSearch(game, mode, prune=False).run()
+                # threshold 0 runs the pair gate's LP bound on every pair
+                for threshold in (default_threshold, 0):
+                    monkeypatch.setattr(solvers, "_GATE_THRESHOLD", threshold)
+                    v1, w1, _ = solvers._SupportSearch(game, mode, prune=True).run()
+                    case = (trial, mode, threshold)
+                    assert v1 == v2, case
+                    assert (w1.sigma1, w1.sigma2) == (w2.sigma1, w2.sigma2), case
 
 
 class TestX3CEquivalenceSmall:
