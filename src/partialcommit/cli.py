@@ -213,12 +213,13 @@ def _cmd_gen(args) -> int:
         game = make(args.n, eps)
         if args.partition:
             game = game.with_partition(_parse_partition(args.partition, game.num_rows))
-        elif args.sis_count:
+        elif args.sis_count is not None:
             game = game.with_partition(SISPartition.round_robin(game.num_rows, args.sis_count))
     elif fam == "random":
         if args.m is None or args.n is None:
             raise InvalidParams("random needs --m and --n")
-        game = gen_random(args.m, args.n, args.sis_count or args.m, args.seed)
+        cells = args.m if args.sis_count is None else args.sis_count
+        game = gen_random(args.m, args.n, cells, args.seed)
     else:  # pragma: no cover - argparse choices guard this
         raise InvalidParams(f"unknown family {fam!r}")
     save_game(game, args.out)

@@ -78,11 +78,15 @@ def format_number(x: Number) -> str:
 
 
 def to_mode(x: Number, mode: str) -> Fraction | float:
-    """Convert one number to the arithmetic of ``mode`` ('exact'|'float')."""
+    """Convert one number to the arithmetic of ``mode`` ('exact'|'float');
+    a number beyond the float range is a :class:`NonFiniteNumber`."""
     if mode == "exact":
         return x if isinstance(x, Fraction) else Fraction(x)
     if mode == "float":
-        return float(x)
+        try:
+            return float(x)
+        except OverflowError:
+            raise NonFiniteNumber("a number is beyond the float range") from None
     raise ValueError(f"unknown mode: {mode!r}")
 
 
@@ -209,8 +213,13 @@ class Game:
         for name, matrix in (("u1", self.u1), ("u2", self.u2)):
             for row in matrix:
                 for x in row:
-                    if isinstance(x, float) and not math.isfinite(x):
-                        raise NonFiniteNumber(f"{name} has a non-finite payoff: {x!r}")
+                    try:
+                        finite = math.isfinite(x)
+                    except OverflowError:  # an exact payoff that no float holds
+                        finite = False
+                    if not finite:
+                        # every concept also reports its value as a float
+                        raise NonFiniteNumber(f"{name} has a payoff that is not a finite float")
 
     @property
     def num_rows(self) -> int:

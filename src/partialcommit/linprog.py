@@ -30,13 +30,17 @@ Artificial columns are kept in the tableau (barred from entering) so the
 final reduced-cost row yields the dual vector for free; every optimal
 outcome carries enough state to re-verify feasibility, dual feasibility and
 strong duality via :meth:`LpOutcome.check_certificate`.
+
+Vertex enumeration (for the SELO and best-Nash support search) rests on one
+row reduction, ``_add_row``, which grows a reduced system by one row or finds
+the row dependent on it or contradicting it.  Tight subsets are built one row
+at a time, so a dependent prefix is dropped with every subset extending it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 from typing import Sequence
 
@@ -529,80 +533,34 @@ def _float_via_exact(lp: LinearProgram, reason: str) -> LpOutcome:
     )
 
 
-def _eliminate(aug: list[list], ncols: int, mode: str) -> list[int]:
-    """Gauss-Jordan elimination of ``aug`` in place over its first ``ncols``
-    columns; returns the pivot columns, whose reduced rows come first.
-
-    Float mode pivots on the largest entry of a column and treats entries
-    within ``FLOAT_TOL`` as zero; exact mode pivots on the first nonzero one.
+def _add_row(piv: dict, row: list, tol: float) -> dict | None:
+    """Reduce the augmented ``row`` (coefficients, then right-hand side)
+    against ``piv``, ``{pivot column: row}`` in reduced form; return the grown
+    system, ``piv`` itself when the row depends on it and agrees, or ``None``
+    when it contradicts it.  Exact mode (``tol`` 0) pivots on the first
+    nonzero entry, float mode on the largest, beyond ``tol``.
     """
-    tol = 0 if mode == "exact" else FLOAT_TOL
-    piv_cols = []
-    r = 0
-    for col in range(ncols):
-        best = None
-        for i in range(r, len(aug)):
-            a = abs(aug[i][col])
-            if a > tol:
-                if mode == "exact":
-                    best = i  # any nonzero pivot is fine exactly
-                    break
-                if best is None or a > abs(aug[best][col]):
-                    best = i
-        if best is None:
-            continue
-        aug[r], aug[best] = aug[best], aug[r]
-        piv = aug[r][col]
-        aug[r] = [a / piv for a in aug[r]]
-        for i in range(len(aug)):
-            if i != r and abs(aug[i][col]) > tol:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        piv_cols.append(col)
-        r += 1
-        if r == len(aug):
-            break
-    return piv_cols
-
-
-def _gauss_solve(rows: list[tuple[list, Number]], dim: int, mode: str):
-    """Solve a linear system given as (coefficients, rhs) pairs.
-
-    Returns the unique solution vector, or None when the system is singular,
-    underdetermined, or inconsistent.
-    """
-    aug = [list(coefs) + [rhs] for coefs, rhs in rows]
-    if len(_eliminate(aug, dim, mode)) < dim:
-        return None
-    tol = 0 if mode == "exact" else FLOAT_TOL
-    if any(abs(row[dim]) > tol for row in aug[dim:]):
-        return None  # inconsistent
-    return [row[dim] for row in aug[:dim]]
-
-
-def _polytope_rows(poly: Polytope, mode: str):
-    """All defining constraints and the nonnegativity rows ``-x_i <= 0``,
-    mode-converted."""
-    rows = []
-    for coefs, rel, rhs in poly.constraints:
-        rows.append(([to_mode(a, mode) for a in coefs], rel, to_mode(rhs, mode)))
-    zero, one = to_mode(0, mode), to_mode(1, mode)
-    for i in range(poly.num_vars):
-        row = [zero] * poly.num_vars
-        row[i] = -one
-        rows.append((row, "<=", zero))
-    return rows
-
-
-def _satisfies(x, rows, mode: str) -> bool:
-    tol = 0 if mode == "exact" else FLOAT_TOL
-    for coefs, rel, rhs in rows:
-        lhs = sum(a * v for a, v in zip(coefs, x))
-        if rel == "<=" and lhs > rhs + tol:
-            return False
-        if rel == "=" and abs(lhs - rhs) > tol:
-            return False
-    return True
+    # skipping the many zero entries saves much of the ``Fraction`` work
+    for col, prow in piv.items():
+        f = row[col]
+        if f:
+            row = [a - f * b if b else a for a, b in zip(row, prow)]
+    if tol:
+        mags = [abs(a) for a in row[:-1]]
+        big = max(mags, default=0.0)
+        col = mags.index(big) if big > tol else None
+    else:
+        col = next((j for j, a in enumerate(row[:-1]) if a), None)
+    if col is None:
+        return piv if abs(row[-1]) <= tol else None
+    p = row[col]
+    row = [a / p for a in row]
+    grown = {}
+    for c, prow in piv.items():
+        f = prow[col]
+        grown[c] = [a - f * b if b else a for a, b in zip(prow, row)] if f else prow
+    grown[col] = row
+    return grown
 
 
 def enumerate_vertices(poly: Polytope, mode: str = "exact") -> list[tuple]:
@@ -612,34 +570,45 @@ def enumerate_vertices(poly: Polytope, mode: str = "exact") -> list[tuple]:
     vertex, so it would go unreported.  Every solver polytope is bounded,
     since it carries ``sum = 1`` over nonnegative variables.
 
-    Works by enumerating subsets of tight constraints: the equality rows,
-    reduced to an independent set, are always tight, and each combination of
-    inequalities filling out the dimension is solved as a square system and
-    kept when the solution is unique and feasible.  Intended for desk-scale
-    dimensions.
+    The equality rows go in first (``[]`` if they contradict).  A depth-first
+    walk then adds the inequality rows, nonnegativity last, in the order of
+    ``itertools.combinations``; each subset reaching full rank gives a point,
+    kept when new and within every row.  Intended for desk-scale dimensions.
     """
     dim = poly.num_vars
-    rows = _polytope_rows(poly, mode)
-    eqs = [list(coefs) + [rhs] for coefs, rel, rhs in rows if rel == "="]
-    piv_cols = _eliminate(eqs, dim + 1, mode)
-    if dim in piv_cols:
-        return []  # the equalities reduce to 0 = 1
-    base = [(row[:dim], row[dim]) for row in eqs[: len(piv_cols)]]
-    ineqs = [(coefs, rhs) for coefs, rel, rhs in rows if rel != "="]
-    need = dim - len(base)
-    verts: list[tuple] = []
-    seen = set()
-    for combo in combinations(range(len(ineqs)), need):
-        system = base + [ineqs[k] for k in combo]
-        x = _gauss_solve(system, dim, mode)
-        if x is None:
-            continue
-        if not _satisfies(x, rows, mode):
-            continue
+    tol = 0 if mode == "exact" else FLOAT_TOL
+    zero, one = to_mode(0, mode), to_mode(1, mode)
+    rows = [([to_mode(a, mode) for a in coefs], rel, to_mode(rhs, mode))
+            for coefs, rel, rhs in poly.constraints]
+    base = {}
+    for coefs, rel, rhs in rows:
+        if rel == "=" and (base := _add_row(base, [*coefs, rhs], tol)) is None:
+            return []
+    # x_i >= 0 is tight where x_i = 0: a unit row with right-hand side 0
+    ineqs = [[*coefs, rhs] for coefs, rel, rhs in rows if rel == "<="]
+    ineqs += [[one if j == i else zero for j in range(dim + 1)] for i in range(dim)]
+    verts, seen = [], set()
+
+    def walk(piv: dict, start: int) -> None:
+        if len(piv) < dim:
+            for k in range(start, len(ineqs) - (dim - len(piv)) + 1):
+                grown = _add_row(piv, ineqs[k], tol)
+                if grown is not None and grown is not piv:
+                    walk(grown, k + 1)
+            return
+        x = [piv[j][dim] for j in range(dim)]
+        if any(v < -tol for v in x):
+            return
         key = tuple(x) if mode == "exact" else tuple(round(v, 9) for v in x)
         if key in seen:
-            continue
+            return
+        for coefs, rel, rhs in rows:
+            lhs = sum(a * v for a, v in zip(coefs, x))
+            if (lhs > rhs + tol) if rel == "<=" else (abs(lhs - rhs) > tol):
+                return
         seen.add(key)
-        # adding zero turns the -0.0 a negated nonnegativity row leaves into 0.0
-        verts.append(tuple(x) if mode == "exact" else tuple(v + 0.0 for v in x))
+        # adding zero turns a -0.0 coordinate into 0.0
+        verts.append(key if mode == "exact" else tuple(v + 0.0 for v in x))
+
+    walk(base, 0)
     return verts

@@ -344,7 +344,8 @@ def _check_scale(game: Game, allow_large: bool) -> None:
     if size > SCALE_GUARD and not allow_large:
         raise ScaleGuardExceeded(
             f"game has {size} actions; support enumeration is exponential "
-            f"(guard {SCALE_GUARD}, pass allow_large=True to override)"
+            f"(guard {SCALE_GUARD}; pass allow_large=True, or --allow-large on the "
+            "command line, to override)"
         )
 
 

@@ -1,5 +1,8 @@
+import copy
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,10 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from partialcommit import deviations, experiment, solvers
-from partialcommit.cli import main
+from partialcommit import deviations, errors, experiment, solvers
+from partialcommit.cli import _MODELS, main
 from partialcommit.errors import DimensionMismatch
-from partialcommit.games import CorrelatedProfile, load_game, save_game, save_profile
+from partialcommit.games import (
+    CorrelatedProfile,
+    game_to_dict,
+    load_game,
+    save_game,
+    save_profile,
+)
 from partialcommit.instances import (
     SHAPLEY,
     SIGNALING_5X4,
@@ -53,7 +62,9 @@ class TestSolve:
         save_game(gen_random(10, 10, 2, seed=1), path)
         code = main(["solve", "--concept", "selo", "--game", str(path), "--mode", "float"])
         assert code == 1
-        assert "ScaleGuardExceeded" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "ScaleGuardExceeded" in err
+        assert "--allow-large" in err
 
     def test_allow_large_flag(self, tmp_path, capsys):
         path = tmp_path / "big.json"
@@ -71,6 +82,38 @@ class TestSolve:
 
 _GOOD_GAME = '{"u1": [[1, 0], [0, 1]], "u2": [[0, 1], [1, 0]], "partition": [[0, 1]]}'
 _BAD_PROFILE = '{"sigma1": ["abc", "1/2"], "sigma2": ["1/2", "1/2"]}'
+
+
+def _run_files(tmp_path, command, game_text, profile_text, extra=()):
+    """Run ``command`` on a game file (and for ``verify``/``deviate`` a
+    profile file) holding the given texts; returns the exit code."""
+    game = tmp_path / "game.json"
+    game.write_text(game_text)
+    argv = [command, "--game", str(game), *extra]
+    if command == "solve" and "--concept" not in extra:
+        argv += ["--concept", "seslo"]
+    if command != "solve":
+        profile = tmp_path / "profile.json"
+        profile.write_text(profile_text)
+        argv += ["--profile", str(profile)]
+    if command == "deviate" and "--model" not in extra:
+        argv += ["--model", "no-reveal"]
+    return main(argv)
+
+
+#: parses to an exact rational that no float holds
+_BEYOND_FLOAT = "1e400"
+
+
+def _error_class(err: str) -> str:
+    """The ``GameError`` subclass named by the CLI's single error line; fails
+    on a traceback, on more than one line, or on any other exception."""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "Traceback" not in err, err
+    match = re.fullmatch(r"error: (\w+): .*", lines[0])
+    assert match, err
+    assert issubclass(getattr(errors, match.group(1), type(None)), errors.GameError), err
+    return match.group(1)
 
 
 class TestMalformedInput:
@@ -111,20 +154,39 @@ class TestMalformedInput:
         ],
     )
     def test_exit_code(self, tmp_path, capsys, command, game_text, profile_text, error):
-        game = tmp_path / "game.json"
-        game.write_text(game_text)
-        argv = [command, "--game", str(game)]
-        if command == "solve":
-            argv += ["--concept", "seslo"]
-        else:
-            profile = tmp_path / "profile.json"
-            profile.write_text(profile_text)
-            argv += ["--profile", str(profile)]
-        if command == "deviate":
-            argv += ["--model", "no-reveal"]
-        code = main(argv)
+        code = _run_files(tmp_path, command, game_text, profile_text)
         assert code == 1
         assert f"error: {error}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize(
+        "command, in_game, exact_error",
+        [
+            pytest.param("solve", True, "NonFiniteNumber", id="solve-payoff"),
+            pytest.param("verify", True, "NonFiniteNumber", id="verify-payoff"),
+            pytest.param("deviate", True, "NonFiniteNumber", id="deviate-payoff"),
+            # an exact profile entry this large cannot sum to 1 with the rest
+            pytest.param("verify", False, "DimensionMismatch", id="verify-profile"),
+            pytest.param("deviate", False, "DimensionMismatch", id="deviate-profile"),
+        ],
+    )
+    def test_beyond_float_range(self, tmp_path, capsys, command, in_game, exact_error, mode):
+        game_text, profile_text = _GOOD_GAME, '{"sigma1": [1, 0], "sigma2": ["1/2", "1/2"]}'
+        if in_game:
+            game_text = game_text.replace("[[1, 0]", f"[[{_BEYOND_FLOAT}, 0]", 1)
+        else:
+            profile_text = profile_text.replace("[1, 0]", f"[{_BEYOND_FLOAT}, 0]")
+        code = _run_files(tmp_path, command, game_text, profile_text, ["--mode", mode])
+        assert code == 1
+        error = exact_error if mode == "exact" else "NonFiniteNumber"
+        assert _error_class(capsys.readouterr().err) == error
+
+    def test_every_payoff_beyond_float_range(self, tmp_path, capsys):
+        # exact arithmetic alone would solve this game; its float value would not exist
+        big = f"[[{_BEYOND_FLOAT}, {_BEYOND_FLOAT}], [{_BEYOND_FLOAT}, {_BEYOND_FLOAT}]]"
+        game_text = f'{{"u1": {big}, "u2": {big}, "partition": [[0, 1]]}}'
+        assert _run_files(tmp_path, "solve", game_text, None) == 1
+        assert _error_class(capsys.readouterr().err) == "NonFiniteNumber"
 
     @pytest.mark.parametrize(
         "argv",
@@ -147,6 +209,96 @@ class TestMalformedInput:
         assert main(argv) == 1
         assert "error: InvalidParams:" in capsys.readouterr().err
 
+    def test_seeded_fuzz(self, tmp_path, capsys):
+        """Mutated copies of the example game and profile files: every run of
+        ``solve`` (seslo, selo), ``verify`` and ``deviate`` in both modes
+        exits 0 or 1, and 1 with one typed error line and no traceback."""
+        rng = random.Random(3)
+        base_game = game_to_dict(gen_example("example_4x2"))
+        base_profiles = (
+            {"sigma1": ["1/2", 0, 0, "1/2"], "sigma2": ["1/2", "1/2"]},
+            {"p": [["1/8", "1/8"] for _ in range(4)]},
+        )
+        kinds = set()
+        for _ in range(40):
+            game, profile = copy.deepcopy(base_game), copy.deepcopy(rng.choice(base_profiles))
+            target = game if rng.random() < 0.5 else profile
+            kind = _mutate(rng, target)
+            kinds.add(kind)
+            texts = [_file_text(game), _file_text(profile)]
+            runs = [("verify", []), ("deviate", ["--model", rng.choice(sorted(_MODELS))])]
+            if target is game:
+                runs += [("solve", ["--concept", "seslo"]), ("solve", ["--concept", "selo"])]
+            for command, extra in runs:
+                for mode in ("exact", "float"):
+                    case = f"{kind} {texts} {command} {extra} {mode}"
+                    try:
+                        code = _run_files(tmp_path, command, *texts, [*extra, "--mode", mode])
+                    except Exception as exc:  # noqa: BLE001 - any escape is the failure
+                        pytest.fail(f"{case}: {exc!r}")
+                    err = capsys.readouterr().err
+                    assert code in (0, 1), case
+                    if code == 1:
+                        _error_class(err)
+        assert kinds == set(_MUTATIONS)
+
+
+#: marks the entry that the file text turns into the ``_BEYOND_FLOAT`` token
+_BIG = "BIG"
+
+
+def _file_text(doc: dict) -> str:
+    text = json.dumps(doc)
+    return text.replace(f'"-{_BIG}"', "-" + _BEYOND_FLOAT).replace(f'"{_BIG}"', _BEYOND_FLOAT)
+
+
+def _numeric_slots(doc: dict) -> list[tuple[list, int]]:
+    """(list, index) of every number in a game's or profile's matrices."""
+    slots = []
+    for key in ("u1", "u2", "p", "sigma1", "sigma2"):
+        value = doc.get(key)
+        rows = value if value and isinstance(value[0], list) else [value] if value else []
+        slots += [(row, i) for row in rows for i in range(len(row))]
+    return slots
+
+
+def _set_entry(rng, doc, value):
+    row, i = rng.choice(_numeric_slots(doc))
+    row[i] = value
+
+
+def _ragged(rng, doc):
+    row, _ = rng.choice(_numeric_slots(doc))
+    if rng.random() < 0.5:
+        row.pop()
+    else:
+        row.append(0)
+
+
+_MUTATIONS = {
+    "drop": lambda rng, doc: doc.pop(rng.choice(sorted(doc))),
+    "retype": lambda rng, doc: doc.__setitem__(
+        rng.choice(sorted(doc)),
+        rng.choice(["x", 3, None, {}, [], [["x"]], [[True]], [[1, 2], 3], {"0": [1]}]),
+    ),
+    "ragged": _ragged,
+    "partition": lambda rng, doc: doc.__setitem__("partition", rng.choice([
+        [[0, 1]], [[0, 0, 1, 2, 3]], [[0, 1, 2, 3, 4]], [[-1, 0, 1, 2, 3]], [["a", 1, 2, 3]],
+        [[0, 1], [2, 3], []], [[0.5, 1, 2, 3]], [[0, 1, 2, 3], [0]], [0, 1, 2, 3], "0|1",
+    ])),
+    "beyond-float": lambda rng, doc: _set_entry(rng, doc, rng.choice([_BIG, "-" + _BIG])),
+    "negative": lambda rng, doc: _set_entry(rng, doc, rng.choice([-1, "-1/2", -0.25])),
+    "oversized": lambda rng, doc: _set_entry(rng, doc, rng.choice([2, "3/2", 1.5, 10**30])),
+}
+
+
+def _mutate(rng, doc: dict) -> str:
+    """Apply one random malformation to ``doc`` in place; returns its name.
+    A profile has no partition, so it gets another mutation instead."""
+    kinds = sorted(k for k in _MUTATIONS if k != "partition" or "partition" in doc)
+    kind = rng.choice(kinds)
+    _MUTATIONS[kind](rng, doc)
+    return kind
 
 class TestVerifyAndDeviate:
     def test_verify_mixed_profile(self, tmp_path, capsys):
@@ -269,6 +421,25 @@ class TestGen:
         ])
         assert code == 0
         assert load_game(out).partition.cells == ((0, 2), (1, 3))
+
+    @pytest.mark.parametrize(
+        "family, error",
+        [
+            ("random", "InvalidParams"),
+            ("close_to_full", "PartitionInvalid"),
+            ("close_to_none", "PartitionInvalid"),
+        ],
+    )
+    def test_zero_sis_count(self, tmp_path, capsys, family, error):
+        # a count of 0 is a count, not "no count given"
+        out = tmp_path / "g.json"
+        code = main([
+            "gen", "--family", family, "--m", "3", "--n", "3", "--eps", "1/10",
+            "--sis-count", "0", "--out", str(out),
+        ])
+        assert code == 1
+        assert f"error: {error}:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExperimentCommand:

@@ -1,6 +1,8 @@
 import logging
 import random
 from fractions import Fraction as F
+from itertools import combinations
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog as scipy_linprog
@@ -199,7 +201,88 @@ def _random_simplex_polytope(rng) -> Polytope:
     return Polytope(dim, tuple(cons))
 
 
+def _gauss_jordan(aug: list[list], ncols: int) -> list[int]:
+    """Reduce ``aug`` in place over its first ``ncols`` columns; returns the
+    pivot columns, whose rows come first."""
+    piv = []
+    for col in range(ncols):
+        r = next((i for i in range(len(piv), len(aug)) if aug[i][col]), None)
+        if r is not None:
+            k = len(piv)
+            aug[k], aug[r] = aug[r], aug[k]
+            aug[k] = [a / aug[k][col] for a in aug[k]]
+            aug[:] = [row if i == k else [a - row[col] * b for a, b in zip(row, aug[k])]
+                      for i, row in enumerate(aug)]
+            piv.append(col)
+    return piv
+
+
+def _brute_force_vertices(poly: Polytope) -> list[tuple]:
+    """Reference enumeration: an independent set of equality rows plus every
+    ``combinations`` subset of the inequality rows (``-x_i <= 0`` last)
+    filling out the dimension, each solved from scratch in ``Fraction``s and
+    kept when unique, feasible and new."""
+    dim = poly.num_vars
+    rows = [([F(a) for a in coefs], rel, F(rhs)) for coefs, rel, rhs in poly.constraints]
+    rows += [([F(-1 if j == i else 0) for j in range(dim)], "<=", F(0)) for i in range(dim)]
+    eqs = [coefs + [rhs] for coefs, rel, rhs in rows if rel == "="]
+    piv = _gauss_jordan(eqs, dim + 1)
+    if dim in piv:
+        return []
+    ineqs = [coefs + [rhs] for coefs, rel, rhs in rows if rel == "<="]
+    verts = []
+    for combo in combinations(ineqs, dim - len(piv)):
+        system = eqs[: len(piv)] + list(combo)
+        if len(_gauss_jordan(system, dim)) == dim:
+            x = tuple(row[dim] for row in system)
+            lhs = [sum(a * v for a, v in zip(coefs, x)) for coefs, _, _ in rows]
+            feasible = all(l <= r if rel == "<=" else l == r for l, (_, rel, r) in zip(lhs, rows))
+            if feasible and x not in verts:
+                verts.append(x)
+    return verts
+
+
+def _awkward_polytope(rng) -> Polytope:
+    """A 1- to 5-variable simplex cut by random ``<=`` rows, each one maybe
+    followed by a repeat, a parallel copy, a zero row, or an equality that is
+    redundant, inconsistent or new: subsets whose prefix is already
+    dependent, and equality sets that lose rows or have no solution."""
+    dim = rng.randint(1, 5)
+    ones = (1,) * dim
+    cons = [(ones, "=", 1)]
+    for _ in range(rng.randint(1, 6 - dim // 2)):
+        coefs = tuple(rng.choice([-2, -1, 0, 0, 1, 2, F(1, 3), F(-1, 2)]) for _ in range(dim))
+        rhs = rng.choice([0, 0, 1, 2, F(1, 2)])
+        cons.append((coefs, "<=", rhs))
+        extra = rng.choice([
+            None,
+            (coefs, "<=", rhs),
+            (tuple(2 * a for a in coefs), "<=", 2 * rhs + rng.randint(0, 1)),
+            ((0,) * dim, "<=", rhs),
+            (tuple(3 * a for a in ones), "=", 3),
+            (ones, "=", 2),
+            (coefs, "=", rhs) if dim > 1 else None,
+        ])
+        if extra is not None and (extra[1] == "<=" or rng.random() < 0.3):
+            cons.append(extra)
+    return Polytope(dim, tuple(cons))
+
+
 class TestEnumerateVertices:
+    def test_matches_brute_force(self):
+        rng = random.Random(17)
+        empty = 0
+        for _ in range(80):
+            poly = _awkward_polytope(rng)
+            reference = _brute_force_vertices(poly)
+            empty += not reference
+            assert enumerate_vertices(poly, "exact") == reference, poly
+            flt = enumerate_vertices(poly, "float")
+            assert len(flt) == len(reference), poly
+            for xv, fv in zip(reference, flt):
+                assert all(abs(a - b) <= 1e-9 for a, b in zip(xv, fv)), poly
+        assert 0 < empty < 40
+
     def test_standard_simplex(self):
         poly = Polytope(3, (((1, 1, 1), "=", 1),))
         verts = set(enumerate_vertices(poly))
