@@ -79,8 +79,14 @@ def format_number(x: Number) -> str:
 
 def to_mode(x: Number, mode: str) -> Fraction | float:
     """Convert one number to the arithmetic of ``mode`` ('exact'|'float');
-    a number beyond the float range is a :class:`NonFiniteNumber`."""
+    a number beyond the float range, or a float that is not finite, is a
+    :class:`NonFiniteNumber`."""
     if mode == "exact":
+        if isinstance(x, float) and not math.isfinite(x):
+            # only float arithmetic makes one: a payoff difference overflowed
+            raise NonFiniteNumber(
+                f"a float computation reached {x}; solve with --mode exact instead"
+            )
         return x if isinstance(x, Fraction) else Fraction(x)
     if mode == "float":
         try:

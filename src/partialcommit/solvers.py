@@ -8,9 +8,12 @@ special cases (singleton cells: everything observable; one cell: nothing).
 * ``solve_selo``: exact support enumeration.  For every support pair (rows
   R_sup, columns C_sup) the feasible profiles form a product of two
   polytopes, P1 (row mixtures keeping every supported column a best
-  response) and P2 (column mixtures keeping every supported row undominated
-  within its cell).  The bilinear row payoff attains its maximum at a vertex
-  pair, so we enumerate P2's vertices and solve one LP over P1 per vertex.
+  response) and P2 (column mixtures keeping every supported row a best
+  response within its cell).  So the supported rows of a cell tie, and P2
+  writes each tie as an equality row, which leaves the vertex walk fewer
+  inequality rows in a lower dimension.  The bilinear row payoff attains
+  its maximum at a vertex pair, so we enumerate P2's vertices and solve one
+  LP over P1 per vertex.
 * ``solve_stackelberg``: the signal LP with singleton cells, which is the
   correlated-commitment LP of Conitzer & Korzhyk (AAAI 2011).
 * ``solve_max_ce``: ``solve_seslo`` with all rows merged into one cell.
@@ -255,15 +258,22 @@ class _SupportSearch:
     # -- the P2 side --------------------------------------------------------
 
     def _p2_polytope(self, rsup, csup) -> Polytope:
-        """Column mixtures over csup keeping every supported row undominated
-        within its cell."""
+        """Column mixtures over csup under which every supported row is a
+        best response within its cell.  So the supported rows of a cell tie:
+        each one after the cell's first supported row ``r0`` gives an ``=``
+        row against ``r0``, and each unsupported row of the cell a ``<=`` row
+        against ``r0``."""
         rset = set(rsup)
-        rows = [
-            (tuple(self.u1[r2][c] - self.u1[r][c] for c in csup), "<=", 0)
-            for cell in self.game.partition.cells
-            for r in cell if r in rset
-            for r2 in cell if r2 != r
-        ]
+        rows = []
+        for cell in self.game.partition.cells:
+            tied = [r for r in cell if r in rset]
+            if not tied:
+                continue
+            r0 = tied[0]
+            for r in cell:
+                if r != r0:
+                    coefs = tuple(self.u1[r][c] - self.u1[r0][c] for c in csup)
+                    rows.append((coefs, "=" if r in rset else "<=", 0))
         rows.append((tuple([1] * len(csup)), "=", 1))
         return Polytope(num_vars=len(csup), constraints=tuple(rows))
 
@@ -303,8 +313,9 @@ class _SupportSearch:
                 return False
 
         poly = self._p2_polytope(rsup, csup)
-        n_ineq = len(poly.constraints) - 1 + len(csup)  # plus nonnegativity rows
-        need = len(csup) - 1
+        n_eq = sum(1 for _, rel, _ in poly.constraints if rel == "=")
+        n_ineq = len(poly.constraints) - n_eq + len(csup)  # plus nonnegativity rows
+        need = len(csup) - n_eq
         if self.prune and 0 <= need <= n_ineq and math.comb(n_ineq, need) > _GATE_THRESHOLD:
             # each supported row's best payoff over the column polytope
             bound = self._best_optimum(

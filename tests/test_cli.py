@@ -188,6 +188,21 @@ class TestMalformedInput:
         assert _run_files(tmp_path, "solve", game_text, None) == 1
         assert _error_class(capsys.readouterr().err) == "NonFiniteNumber"
 
+    @pytest.mark.parametrize("concept", ["seslo", "selo", "stackelberg", "nash", "ce"])
+    def test_payoff_differences_beyond_float_range(self, tmp_path, capsys, concept):
+        # finite floats whose row differences overflow: float mode cannot solve
+        # this game, and the exact re-solve of a float LP must not traceback
+        big = "1e308"
+        game_text = (
+            f'{{"u1": [[{big}, -{big}], [-{big}, {big}]], '
+            f'"u2": [[-{big}, {big}], [{big}, -{big}]], "partition": [[0], [1]]}}'
+        )
+        extra = ["--concept", concept, "--mode"]
+        assert _run_files(tmp_path, "solve", game_text, None, [*extra, "float"]) == 1
+        assert _error_class(capsys.readouterr().err) == "NonFiniteNumber"
+        assert _run_files(tmp_path, "solve", game_text, None, [*extra, "exact"]) == 0
+        assert _last_json(capsys)[0]["value"] == "0"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -26,7 +26,13 @@ from partialcommit.instances import (
     gen_x3c_game,
     solve_x3c_bruteforce,
 )
-from partialcommit.linprog import OPTIMAL, LinearProgram, solve_lp
+from partialcommit.linprog import (
+    OPTIMAL,
+    LinearProgram,
+    Polytope,
+    enumerate_vertices,
+    solve_lp,
+)
 from partialcommit.solvers import (
     BEST_NASH,
     MAX_CE,
@@ -359,3 +365,54 @@ class TestX3CEquivalenceSmall:
         inst = X3CInstance(3, [(0, 1, 2)])
         game = gen_x3c_game(inst)
         assert solve_selo(game).value == 1
+
+
+def _p2_two_inequality(search, rsup, csup) -> Polytope:
+    """P2 as first written: each supported row of a cell at least as good as
+    every other row of the cell, one ``<=`` row per ordered pair."""
+    rset = set(rsup)
+    rows = [
+        (tuple(search.u1[r2][c] - search.u1[r][c] for c in csup), "<=", 0)
+        for cell in search.game.partition.cells
+        for r in cell if r in rset
+        for r2 in cell if r2 != r
+    ]
+    rows.append((tuple([1] * len(csup)), "=", 1))
+    return Polytope(num_vars=len(csup), constraints=tuple(rows))
+
+
+def _tie_heavy_games():
+    rng = random.Random(1212)
+    for trial in range(30):
+        m, n = rng.choice([(3, 3), (4, 3), (3, 4), (4, 2), (5, 3)])
+        u1 = [[F(rng.randint(0, 2)) for _ in range(n)] for _ in range(m)]
+        u2 = [[F(rng.randint(0, 2)) for _ in range(n)] for _ in range(m)]
+        if trial % 2:
+            u1[-1] = list(u1[0])  # a duplicated row: its tie rows are all zero
+        partition = [
+            SISPartition.one_cell(m),
+            SISPartition.singletons(m),
+            SISPartition.round_robin(m, 2),
+        ][trial % 3]
+        yield Game(u1, u2, partition)
+    yield gen_x3c_game(X3CInstance(3, [(0, 1, 2)]))
+
+
+class TestP2Polytope:
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_equality_ties_give_the_two_inequality_vertices(self, mode):
+        for g, game in enumerate(_tie_heavy_games()):
+            search = solvers._SupportSearch(game, mode)
+            for rsup, csup in solvers._support_pairs(game.num_rows, game.num_cols):
+                case = (g, rsup, csup)
+                got = enumerate_vertices(search._p2_polytope(rsup, csup), mode)
+                want = enumerate_vertices(_p2_two_inequality(search, rsup, csup), mode)
+                if mode == "exact":
+                    assert len(got) == len(set(got)) and set(got) == set(want), case
+                    continue
+                assert len(got) == len(want), case
+                for a, b in ((got, want), (want, got)):
+                    for v in a:
+                        assert any(
+                            all(abs(x - y) <= 1e-9 for x, y in zip(v, w)) for w in b
+                        ), case
