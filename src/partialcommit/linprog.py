@@ -46,6 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import NonFiniteNumber
 from .games import FLOAT_TOL, Number, to_mode
 
 OPTIMAL = "optimal"
@@ -192,6 +193,12 @@ def _standardize(lp: LinearProgram, mode: str):
     v, m = lp.num_vars, len(lp.constraints)
     if mode == "float":
         a = np.array([coefs for coefs, _, _ in lp.constraints], dtype=float).reshape(m, v)
+        if not np.isfinite(a).all():
+            # a payoff difference overflowed: stop before the kernel pivots on it
+            bad = float(a[~np.isfinite(a)][0])
+            raise NonFiniteNumber(
+                f"a float computation reached {bad}; solve with --mode exact instead"
+            )
         b = np.array([rhs for _, _, rhs in lp.constraints], dtype=float)
         cost = -np.array(lp.objective, dtype=float)
     else:

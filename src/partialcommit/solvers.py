@@ -9,11 +9,12 @@ special cases (singleton cells: everything observable; one cell: nothing).
   R_sup, columns C_sup) the feasible profiles form a product of two
   polytopes, P1 (row mixtures keeping every supported column a best
   response) and P2 (column mixtures keeping every supported row a best
-  response within its cell).  So the supported rows of a cell tie, and P2
-  writes each tie as an equality row, which leaves the vertex walk fewer
-  inequality rows in a lower dimension.  The bilinear row payoff attains
-  its maximum at a vertex pair, so we enumerate P2's vertices and solve one
-  LP over P1 per vertex.
+  response within its cell).  Both state one tie rule, built by
+  ``_tie_rows``: the supported responses of a cell tie, so each one after
+  the cell's first gives an equality row and each unsupported response an
+  inequality row against it (P1 has one cell holding every column).  The
+  bilinear row payoff attains its maximum at a vertex pair, so we
+  enumerate P2's vertices and solve one LP over P1 per vertex.
 * ``solve_stackelberg``: the signal LP with singleton cells, which is the
   correlated-commitment LP of Conitzer & Korzhyk (AAAI 2011).
 * ``solve_max_ce``: ``solve_seslo`` with all rows merged into one cell.
@@ -27,18 +28,16 @@ a proven upper bound for it cannot beat the best value already found:
 
 * the rectangle bound, the largest row payoff on rows R_sup x columns C_sup;
 * the column-set caps, the best row payoff in a column over row mixtures
-  keeping that column, and then all of C_sup, best responses (cached per
-  column set; an empty set of such mixtures empties the pair);
-* the pair gate, the best payoff of each supported row over P2, run only
-  when P2 has more than ``_GATE_THRESHOLD`` candidate tight subsets.
+  (on all rows) keeping that column, and then all of C_sup, best responses;
+  cached per column set, and an empty set of such mixtures empties the pair.
 
-So the pruned and unpruned searches report the same value and witness, in
-both modes.
+So the pruned search reports the value and witness of the unpruned one, in
+both modes; ``tests/test_solvers.py`` keeps the unpruned search as its
+oracle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -71,10 +70,6 @@ MAX_CE = "MAX_CE"
 #: support enumeration refuses games with more than this many actions total
 #: unless explicitly overridden
 SCALE_GUARD = 14
-
-#: run the per-pair bound gate before vertex enumeration once the number of
-#: candidate tight-constraint subsets passes this
-_GATE_THRESHOLD = 3000
 
 
 @dataclass
@@ -202,80 +197,71 @@ def _support_pairs(m: int, n: int):
                     yield rsup, csup
 
 
+def _tie_rows(pay, over, sup, cells) -> tuple:
+    """Rows of the mixtures over ``over`` under which every response in
+    ``sup`` is a best response within its cell, ``pay[a][j]`` being the
+    payoff of response ``a`` against pure action ``j``.  The supported
+    responses of a cell tie: each one after the cell's first supported
+    response ``a0`` gives an ``=`` row against ``a0``, and each unsupported
+    response of the cell a ``<=`` row against ``a0``.  Then ``Σ = 1``."""
+    sset = set(sup)
+    rows = []
+    for cell in cells:
+        tied = [a for a in cell if a in sset]
+        if not tied:
+            continue
+        a0 = tied[0]
+        for a in cell:
+            if a != a0:
+                coefs = tuple(pay[a][j] - pay[a0][j] for j in over)
+                rows.append((coefs, "=" if a in sset else "<=", 0))
+    rows.append((tuple([1] * len(over)), "=", 1))
+    return tuple(rows)
+
+
 class _SupportSearch:
     """Vertex-pair search over support pairs with sound pruning."""
 
-    def __init__(self, game: Game, mode: str, upper_bound=None, prune: bool = True):
+    def __init__(self, game: Game, mode: str, upper_bound=None):
         self.game = game
         self.mode = mode
-        self.prune = prune  # False exercises the raw enumeration in tests
         self.upper_bound = None if upper_bound is None else to_mode(upper_bound, mode)
         self.u1, self.u2 = game.payoffs_in_mode(mode)
+        self.u2t = tuple(zip(*self.u2))  # column player's payoff, column first
         self.m, self.n = game.num_rows, game.num_cols
         self.stats = SearchStats()
         self.best = None
         self.witness = None
         self._csup_cap: dict = {}
 
-    # -- LP bounds ----------------------------------------------------------
-
     def _p1_lp(self, rsup, csup, objective) -> LinearProgram:
-        cons = []
-        for c in csup:
-            for c2 in range(self.n):
-                if c2 == c:
-                    continue
-                cons.append(
-                    (tuple(self.u2[r][c2] - self.u2[r][c] for r in rsup), "<=", 0)
-                )
-        cons.append((tuple([1] * len(rsup)), "=", 1))
-        return LinearProgram(tuple(objective), tuple(cons), len(rsup))
-
-    def _best_optimum(self, lps):
-        """Largest optimum over ``lps``; None at the first program that is not
-        optimal, which here means its region is empty (every region is
-        bounded)."""
-        bound = None
-        for lp in lps:
-            out = solve_lp(lp, self.mode)
-            self.stats.lps_solved += 1
-            if out.status != OPTIMAL:
-                return None
-            if bound is None or out.value > bound:
-                bound = out.value
-        return bound
-
-    def csup_cap(self, csup):
-        """Best row payoff in any csup column over mixtures keeping all of
-        csup simultaneously best responses; None when that set is empty."""
-        if csup not in self._csup_cap:
-            rows = tuple(range(self.m))
-            self._csup_cap[csup] = self._best_optimum(
-                self._p1_lp(rows, csup, [self.u1[r][c] for r in rows]) for c in csup
-            )
-        return self._csup_cap[csup]
-
-    # -- the P2 side --------------------------------------------------------
+        """Row mixtures over rsup under which every csup column is a best
+        response, maximizing ``objective``."""
+        rows = _tie_rows(self.u2t, rsup, csup, (range(self.n),))
+        return LinearProgram(tuple(objective), rows, len(rsup))
 
     def _p2_polytope(self, rsup, csup) -> Polytope:
         """Column mixtures over csup under which every supported row is a
-        best response within its cell.  So the supported rows of a cell tie:
-        each one after the cell's first supported row ``r0`` gives an ``=``
-        row against ``r0``, and each unsupported row of the cell a ``<=`` row
-        against ``r0``."""
-        rset = set(rsup)
-        rows = []
-        for cell in self.game.partition.cells:
-            tied = [r for r in cell if r in rset]
-            if not tied:
-                continue
-            r0 = tied[0]
-            for r in cell:
-                if r != r0:
-                    coefs = tuple(self.u1[r][c] - self.u1[r0][c] for c in csup)
-                    rows.append((coefs, "=" if r in rset else "<=", 0))
-        rows.append((tuple([1] * len(csup)), "=", 1))
-        return Polytope(num_vars=len(csup), constraints=tuple(rows))
+        best response within its cell."""
+        rows = _tie_rows(self.u1, csup, rsup, self.game.partition.cells)
+        return Polytope(num_vars=len(csup), constraints=rows)
+
+    def csup_cap(self, csup):
+        """Best row payoff in any csup column over mixtures (on all rows)
+        keeping all of csup simultaneously best responses; None when that
+        set is empty."""
+        if csup not in self._csup_cap:
+            rows = tuple(range(self.m))
+            cap = None
+            for c in csup:
+                out = solve_lp(self._p1_lp(rows, csup, [self.u1[r][c] for r in rows]), self.mode)
+                self.stats.lps_solved += 1
+                if out.status != OPTIMAL:
+                    break  # the region is empty (it is bounded), whatever c is
+                if cap is None or out.value > cap:
+                    cap = out.value
+            self._csup_cap[csup] = cap
+        return self._csup_cap[csup]
 
     # -- main loop ----------------------------------------------------------
 
@@ -300,35 +286,19 @@ class _SupportSearch:
     def _handle_pair(self, rsup, csup) -> bool:
         """Evaluate one support pair; returns True to stop the whole search."""
         best = self.best
-        if self.prune:
-            if best is not None and max(self.u1[r][c] for r in rsup for c in csup) <= best:
-                return False
-            # a column that is never a best response on its own empties the pair
-            if any(self.csup_cap((c,)) is None for c in csup):
-                return False
-            if best is not None and max(self.csup_cap((c,)) for c in csup) <= best:
-                return False
-            cap = self.csup_cap(csup)
-            if cap is None or (best is not None and cap <= best):
-                return False
+        if best is not None and max(self.u1[r][c] for r in rsup for c in csup) <= best:
+            return False
+        # a column that is never a best response on its own empties the pair
+        if any(self.csup_cap((c,)) is None for c in csup):
+            return False
+        if best is not None and max(self.csup_cap((c,)) for c in csup) <= best:
+            return False
+        cap = self.csup_cap(csup)
+        if cap is None or (best is not None and cap <= best):
+            return False
 
-        poly = self._p2_polytope(rsup, csup)
-        n_eq = sum(1 for _, rel, _ in poly.constraints if rel == "=")
-        n_ineq = len(poly.constraints) - n_eq + len(csup)  # plus nonnegativity rows
-        need = len(csup) - n_eq
-        if self.prune and 0 <= need <= n_ineq and math.comb(n_ineq, need) > _GATE_THRESHOLD:
-            # each supported row's best payoff over the column polytope
-            bound = self._best_optimum(
-                LinearProgram(tuple(self.u1[r][c] for c in csup), poly.constraints, len(csup))
-                for r in rsup
-            )
-            if bound is None or (best is not None and bound <= best):
-                return False
-        vertices = enumerate_vertices(poly, self.mode)
-        for vert in vertices:
-            weights = [
-                sum(self.u1[r][c] * vert[j] for j, c in enumerate(csup)) for r in rsup
-            ]
+        for vert in enumerate_vertices(self._p2_polytope(rsup, csup), self.mode):
+            weights = [sum(self.u1[r][c] * vert[j] for j, c in enumerate(csup)) for r in rsup]
             out = solve_lp(self._p1_lp(rsup, csup, weights), self.mode)
             self.stats.lps_solved += 1
             if out.status == INFEASIBLE:

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -191,15 +192,20 @@ class TestMalformedInput:
     @pytest.mark.parametrize("concept", ["seslo", "selo", "stackelberg", "nash", "ce"])
     def test_payoff_differences_beyond_float_range(self, tmp_path, capsys, concept):
         # finite floats whose row differences overflow: float mode cannot solve
-        # this game, and the exact re-solve of a float LP must not traceback
+        # this game, and rejects its LPs before numpy computes with the
+        # overflowed entries (so without a warning)
         big = "1e308"
         game_text = (
             f'{{"u1": [[{big}, -{big}], [-{big}, {big}]], '
             f'"u2": [[-{big}, {big}], [{big}, -{big}]], "partition": [[0], [1]]}}'
         )
         extra = ["--concept", concept, "--mode"]
-        assert _run_files(tmp_path, "solve", game_text, None, [*extra, "float"]) == 1
-        assert _error_class(capsys.readouterr().err) == "NonFiniteNumber"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _run_files(tmp_path, "solve", game_text, None, [*extra, "float"]) == 1
+        err = capsys.readouterr().err
+        assert _error_class(err) == "NonFiniteNumber"
+        assert "solve with --mode exact instead" in err
         assert _run_files(tmp_path, "solve", game_text, None, [*extra, "exact"]) == 0
         assert _last_json(capsys)[0]["value"] == "0"
 

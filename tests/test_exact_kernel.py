@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from test_deviations import retired_deviation_lp
-from test_solvers import _induce_column_lp
+from test_solvers import _induce_column_lp, p1_lps
 
 from partialcommit import deviations
 from partialcommit.deviations import SignalModel, find_deviation
@@ -26,7 +26,7 @@ from partialcommit.linprog import (
     _standardize,
     solve_lp,
 )
-from partialcommit.solvers import _seslo_lp, _SupportSearch, solve_seslo
+from partialcommit.solvers import _seslo_lp, solve_seslo
 
 
 def reference_simplex_exact(std):
@@ -170,12 +170,11 @@ def test_solver_lps_match_reference(monkeypatch):
         u1, u2 = game.payoffs_in_mode("exact")
         lps = [_seslo_lp(u1, u2, game.partition, m, n)]
         lps += [_induce_column_lp(u1, u2, m, n, c) for c in range(n)]
-        search = _SupportSearch(game, "exact")
         for _ in range(4):
             rsup = tuple(sorted(rng.sample(range(m), rng.randint(1, m))))
             csup = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
             objective = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in rsup]
-            lps.append(search._p1_lp(rsup, csup, objective))
+            lps += p1_lps(u2, rsup, csup, objective)
         lps += _deviation_lps(game, monkeypatch)
         statuses += [_same_as_reference(lp)["status"] for lp in lps]
     assert len(statuses) >= 100

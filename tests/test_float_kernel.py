@@ -19,8 +19,9 @@ import random
 
 import numpy as np
 from test_deviations import retired_deviation_lp
+from test_solvers import p1_lps
 
-from partialcommit import deviations, solvers
+from partialcommit import deviations
 from partialcommit.deviations import SignalModel, find_deviation
 from partialcommit.experiment import derive_seed
 from partialcommit.games import FLOAT_TOL
@@ -37,7 +38,7 @@ from partialcommit.linprog import (
     _sum_in_order,
     solve_lp,
 )
-from partialcommit.solvers import _seslo_lp, _SupportSearch, solve_selo, solve_seslo
+from partialcommit.solvers import _seslo_lp, solve_seslo
 
 
 def reference_simplex_float(std):
@@ -300,12 +301,13 @@ def _corpus(monkeypatch) -> list[LinearProgram]:
             lps.append(_seslo_lp(u1, u2, cells, 4, 4))
     for seed in range(7):
         game = gen_random(4, 3, 2, seed=seed)
-        lps += _captured_lps(solvers, monkeypatch, lambda g=game: solve_selo(g, "float"))
-        search = _SupportSearch(game, "float")
-        for _ in range(4):
+        _u1, u2 = game.payoffs_in_mode("float")
+        # support-search programs in both forms: pairwise "<=" rows, and
+        # tied, with zero-rhs "=" rows
+        for _ in range(12):
             rsup = tuple(sorted(rng.sample(range(4), rng.randint(1, 4))))
             csup = tuple(sorted(rng.sample(range(3), rng.randint(1, 3))))
-            lps.append(search._p1_lp(rsup, csup, [rng.uniform(-2, 2) for _ in rsup]))
+            lps += p1_lps(u2, rsup, csup, [rng.uniform(-2, 2) for _ in rsup])
         lps += _deviation_lps(game, monkeypatch)
     return lps + _random_lps(rng, 300)
 

@@ -8,6 +8,7 @@ from scipy.optimize import linprog as scipy_linprog
 from partialcommit import experiment, solvers
 from partialcommit.errors import ScaleGuardExceeded
 from partialcommit.games import (
+    FLOAT_TOL,
     Game,
     MixedProfile,
     SISPartition,
@@ -27,6 +28,7 @@ from partialcommit.instances import (
     solve_x3c_bruteforce,
 )
 from partialcommit.linprog import (
+    INFEASIBLE,
     OPTIMAL,
     LinearProgram,
     Polytope,
@@ -322,12 +324,39 @@ class TestCrossConceptInvariants:
         assert expected_utilities(game, report.witness)[0] == report.value
 
 
+def unpruned_search(game, mode):
+    """The support search with no pruning, kept as the oracle of the pruned
+    one: every support pair in the search's order, every vertex of its P2,
+    one P1 LP per vertex, and the first optimum kept (in float mode a later
+    one must be larger by more than ``FLOAT_TOL``, relative).  The rows come
+    from the solver's builders, so float optima are bit-comparable;
+    ``TestP2Polytope`` checks those builders against the pairwise form."""
+    search = solvers._SupportSearch(game, mode)
+    m, n = game.num_rows, game.num_cols
+    best = witness = None
+    for rsup, csup in solvers._support_pairs(m, n):
+        for vert in enumerate_vertices(search._p2_polytope(rsup, csup), mode):
+            weights = [sum(search.u1[r][c] * y for c, y in zip(csup, vert)) for r in rsup]
+            out = solve_lp(search._p1_lp(rsup, csup, weights), mode)
+            if out.status == INFEASIBLE:
+                break
+            assert out.status == OPTIMAL
+            tol = 0 if mode == "exact" or best is None else FLOAT_TOL * (1 + abs(best))
+            if best is None or out.value - best > tol:
+                sigma1, sigma2 = [0] * m, [0] * n
+                for r, x in zip(rsup, out.solution):
+                    sigma1[r] = x
+                for c, y in zip(csup, vert):
+                    sigma2[c] = y
+                best, witness = out.value, MixedProfile(sigma1, sigma2, mode)
+    return best, witness
+
+
 class TestPruningSoundness:
-    def test_pruned_search_matches_raw_enumeration(self, monkeypatch):
+    def test_pruned_search_matches_raw_enumeration(self):
         # small-integer payoffs maximize ties, the worst case for any
         # bound-versus-best boundary mistake; in float mode the tied optima
         # differ in the last bits
-        default_threshold = solvers._GATE_THRESHOLD
         rng = random.Random(606)
         for trial in range(40):
             m, n = rng.choice([(3, 3), (4, 3), (3, 4), (4, 2), (5, 3)])
@@ -335,14 +364,11 @@ class TestPruningSoundness:
             u2 = [[F(rng.randint(0, 3)) for _ in range(n)] for _ in range(m)]
             game = Game(u1, u2, SISPartition.round_robin(m, rng.randint(1, m)))
             for mode in ("exact", "float"):
-                v2, w2, _ = solvers._SupportSearch(game, mode, prune=False).run()
-                # threshold 0 runs the pair gate's LP bound on every pair
-                for threshold in (default_threshold, 0):
-                    monkeypatch.setattr(solvers, "_GATE_THRESHOLD", threshold)
-                    v1, w1, _ = solvers._SupportSearch(game, mode, prune=True).run()
-                    case = (trial, mode, threshold)
-                    assert v1 == v2, case
-                    assert (w1.sigma1, w1.sigma2) == (w2.sigma1, w2.sigma2), case
+                v1, w1, _ = solvers._SupportSearch(game, mode).run()
+                v2, w2 = unpruned_search(game, mode)
+                case = (trial, mode)
+                assert v1 == v2, case
+                assert (w1.sigma1, w1.sigma2) == (w2.sigma1, w2.sigma2), case
 
 
 class TestX3CEquivalenceSmall:
@@ -367,18 +393,46 @@ class TestX3CEquivalenceSmall:
         assert solve_selo(game).value == 1
 
 
-def _p2_two_inequality(search, rsup, csup) -> Polytope:
-    """P2 as first written: each supported row of a cell at least as good as
-    every other row of the cell, one ``<=`` row per ordered pair."""
-    rset = set(rsup)
+def pairwise_rows(pay, over, sup, cells) -> tuple:
+    """Best-response rows as first written: each response in ``sup`` at
+    least as good as every other response of its cell, one ``<=`` row per
+    ordered pair, ``pay[a][j]`` being response ``a``'s payoff against ``j``;
+    then ``Σ = 1``."""
     rows = [
-        (tuple(search.u1[r2][c] - search.u1[r][c] for c in csup), "<=", 0)
-        for cell in search.game.partition.cells
-        for r in cell if r in rset
-        for r2 in cell if r2 != r
+        (tuple(pay[a2][j] - pay[a][j] for j in over), "<=", 0)
+        for cell in cells
+        for a in cell if a in sup
+        for a2 in cell if a2 != a
     ]
-    rows.append((tuple([1] * len(csup)), "=", 1))
-    return Polytope(num_vars=len(csup), constraints=tuple(rows))
+    rows.append((tuple([1] * len(over)), "=", 1))
+    return tuple(rows)
+
+
+def tie_rows(pay, over, sup, cells) -> tuple:
+    """The same set with the supported responses of a cell tied: an ``=``
+    row against the cell's first supported response for each other one, a
+    ``<=`` row against it for each unsupported response; then ``Σ = 1``."""
+    rows = []
+    for cell in cells:
+        tied = [a for a in cell if a in sup]
+        for a in cell:
+            if tied and a != tied[0]:
+                coefs = tuple(pay[a][j] - pay[tied[0]][j] for j in over)
+                rows.append((coefs, "=" if a in sup else "<=", 0))
+    rows.append((tuple([1] * len(over)), "=", 1))
+    return tuple(rows)
+
+
+def p1_lps(u2, rsup, csup, objective) -> list[LinearProgram]:
+    """The P1 program of a support pair in both forms, pairwise then tied:
+    row mixtures over ``rsup`` keeping every ``csup`` column a best response
+    to the column player, maximizing ``objective``."""
+    pay = list(zip(*u2))  # column c's payoff against row r is pay[c][r]
+    cells = (range(len(pay)),)
+    return [
+        LinearProgram(tuple(objective), rows(pay, rsup, csup, cells), len(rsup))
+        for rows in (pairwise_rows, tie_rows)
+    ]
 
 
 def _tie_heavy_games():
@@ -398,21 +452,43 @@ def _tie_heavy_games():
     yield gen_x3c_game(X3CInstance(3, [(0, 1, 2)]))
 
 
+def _assert_same_vertices(got, want, mode, case):
+    """Equal vertex sets; in float mode each vertex within 1e-9 of one of
+    the other set."""
+    if mode == "exact":
+        assert len(got) == len(set(got)) and set(got) == set(want), case
+        return
+    assert len(got) == len(want), case
+    for a, b in ((got, want), (want, got)):
+        for v in a:
+            assert any(all(abs(x - y) <= 1e-9 for x, y in zip(v, w)) for w in b), case
+
+
 class TestP2Polytope:
+    """The solver's tie rows against the pairwise ``<=`` form, on both sides
+    of every support pair: P2 (column mixtures, the game's cells) and P1
+    (row mixtures, one cell of all columns)."""
+
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_equality_ties_give_the_two_inequality_vertices(self, mode):
         for g, game in enumerate(_tie_heavy_games()):
             search = solvers._SupportSearch(game, mode)
+            cells = game.partition.cells
             for rsup, csup in solvers._support_pairs(game.num_rows, game.num_cols):
-                case = (g, rsup, csup)
                 got = enumerate_vertices(search._p2_polytope(rsup, csup), mode)
-                want = enumerate_vertices(_p2_two_inequality(search, rsup, csup), mode)
-                if mode == "exact":
-                    assert len(got) == len(set(got)) and set(got) == set(want), case
-                    continue
-                assert len(got) == len(want), case
-                for a, b in ((got, want), (want, got)):
-                    for v in a:
-                        assert any(
-                            all(abs(x - y) <= 1e-9 for x, y in zip(v, w)) for w in b
-                        ), case
+                rows = pairwise_rows(search.u1, csup, rsup, cells)
+                want = enumerate_vertices(Polytope(len(csup), rows), mode)
+                _assert_same_vertices(got, want, mode, (g, rsup, csup))
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_p1_ties_give_the_pairwise_vertices(self, mode):
+        for g, game in enumerate(_tie_heavy_games()):
+            search = solvers._SupportSearch(game, mode)
+            pay = list(zip(*search.u2))  # column c's payoff against row r is pay[c][r]
+            cols = (range(game.num_cols),)
+            for rsup, csup in solvers._support_pairs(game.num_rows, game.num_cols):
+                tied = search._p1_lp(rsup, csup, [0] * len(rsup)).constraints
+                got = enumerate_vertices(Polytope(len(rsup), tied), mode)
+                rows = pairwise_rows(pay, rsup, csup, cols)
+                want = enumerate_vertices(Polytope(len(rsup), rows), mode)
+                _assert_same_vertices(got, want, mode, (g, rsup, csup))
