@@ -104,6 +104,13 @@ def matrix_to_mode(rows: Sequence[Sequence[Number]], mode: str) -> tuple[tuple, 
 # partition
 
 
+def _row_index(r) -> int:
+    # JSON ``true``/``false`` load as bools, which ``operator.index`` accepts
+    if isinstance(r, bool):
+        raise TypeError(f"{r!r} is not a row index")
+    return operator.index(r)
+
+
 @dataclass(frozen=True)
 class SISPartition:
     """Partition of row indices into cells the column player cannot tell apart.
@@ -118,7 +125,7 @@ class SISPartition:
 
     def __init__(self, cells: Iterable[Iterable[int]], num_rows: int):
         try:
-            canon = [tuple(sorted({operator.index(r) for r in c})) for c in cells]
+            canon = [tuple(sorted({_row_index(r) for r in c})) for c in cells]
         except TypeError as exc:
             raise PartitionInvalid(f"partition cells must be lists of row indices: {exc}") from exc
         canon = tuple(sorted(canon, key=lambda c: (c[0] if c else -1)))

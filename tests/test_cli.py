@@ -132,6 +132,10 @@ class TestMalformedInput:
                 "solve", _GOOD_GAME.replace("[[0, 1]]", '[[0], "x"]'), None, "PartitionInvalid",
                 id="partition-entry",
             ),
+            pytest.param(
+                "solve", _GOOD_GAME.replace("[[0, 1]]", "[[false, true]]"), None,
+                "PartitionInvalid", id="partition-booleans",
+            ),
             pytest.param("verify", _GOOD_GAME, _BAD_PROFILE, "DimensionMismatch", id="verify-token"),
             pytest.param(
                 "deviate", _GOOD_GAME, _BAD_PROFILE, "DimensionMismatch", id="deviate-token"
@@ -157,7 +161,7 @@ class TestMalformedInput:
     def test_exit_code(self, tmp_path, capsys, command, game_text, profile_text, error):
         code = _run_files(tmp_path, command, game_text, profile_text)
         assert code == 1
-        assert f"error: {error}:" in capsys.readouterr().err
+        assert _error_class(capsys.readouterr().err) == error
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     @pytest.mark.parametrize(

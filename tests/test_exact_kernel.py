@@ -8,11 +8,12 @@ point, objective, basis and duals).
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from test_deviations import retired_deviation_lp
 from test_solvers import _induce_column_lp, p1_lps
 
-from partialcommit import deviations
+from partialcommit import deviations, linprog
 from partialcommit.deviations import SignalModel, find_deviation
 from partialcommit.games import Game, SISPartition
 from partialcommit.instances import EXAMPLE_NAMES, gen_example
@@ -24,6 +25,7 @@ from partialcommit.linprog import (
     LinearProgram,
     _simplex_exact,
     _standardize,
+    _sub_multiple,
     solve_lp,
 )
 from partialcommit.solvers import _seslo_lp, solve_seslo
@@ -222,8 +224,20 @@ def test_hand_built_lps_match_reference():
         "unbounded_after_phase1": LinearProgram(
             (0, 1, 0), (((-1, 1, 0), "=", 1), ((1, 0, -1), "=", 1)), 3,
         ),
+        # ints and Fractions are standardized as they are, floats at their
+        # exact binary value
+        "mixed_number_types": LinearProgram(
+            (1, Fraction(1, 3), 0.5),
+            (((2, 0.25, Fraction(1, 7)), "<=", 3), ((1, Fraction(-1, 2), 0.1), "=", 0.75)),
+            3,
+        ),
     }
     out = {name: _same_as_reference(lp) for name, lp in cases.items()}
+    mixed = _standardize(cases["mixed_number_types"], "exact")
+    assert mixed["matrix"][1][:3] == [1, Fraction(-1, 2), Fraction(0.1)]
+    assert [type(a) for a in mixed["matrix"][0]] == [int, Fraction, Fraction, int, int]
+    assert mixed["rhs"] == [3, Fraction(3, 4)] and mixed["cost"][:3] == [-1, Fraction(-1, 3), -0.5]
+    assert out["mixed_number_types"]["status"] == OPTIMAL
     assert out["infeasible"]["status"] == out["infeasible_equalities"]["status"] == INFEASIBLE
     assert out["unbounded"]["status"] == out["unbounded_after_phase1"]["status"] == UNBOUNDED
     redundant = out["redundant_equalities"]
@@ -249,3 +263,34 @@ def test_random_lps_match_reference():
         )
         statuses.append(_same_as_reference(lp)["status"])
     assert {OPTIMAL, INFEASIBLE, UNBOUNDED} <= set(statuses)
+
+
+def test_large_denominator_lps_match_reference(monkeypatch):
+    # denominators near 2**600 put a row's denominator past the kernel's
+    # lowest-terms bound at its first update, so these programs run the
+    # reduction that the small-denominator corpora above never reach
+    reduced = []
+
+    def counting(row, den, other, s, t):
+        new, out = _sub_multiple(row, den, other, s, t)
+        reduced.append(out != den * (s // gcd(s, t)))
+        return new, out
+
+    monkeypatch.setattr(linprog, "_sub_multiple", counting)
+    rng = random.Random(7)
+
+    def entry(scale):
+        return Fraction(rng.randint(-scale, scale), 2**600 + rng.randint(1, 2**16))
+
+    statuses = []
+    for _ in range(20):
+        n = rng.randint(2, 5)
+        cons = [
+            (tuple(entry(6) for _ in range(n)), rng.choice(["<=", "="]), abs(entry(6)))
+            for _ in range(rng.randint(2, 6))
+        ]
+        cons.append((tuple([1] * n), "<=", Fraction(rng.randint(1, 8))))
+        lp = LinearProgram(tuple(entry(5) for _ in range(n)), tuple(cons), n)
+        statuses.append(_same_as_reference(lp)["status"])
+    assert {OPTIMAL, INFEASIBLE} <= set(statuses)
+    assert any(reduced)
