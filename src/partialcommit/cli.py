@@ -211,10 +211,6 @@ def _cmd_gen(args) -> int:
             raise InvalidParams(f"--eps must be a rational like 1/10: {exc}") from exc
         make = gen_close_to_full if fam == "close_to_full" else gen_close_to_none
         game = make(args.n, eps)
-        if args.partition:
-            game = game.with_partition(_parse_partition(args.partition, game.num_rows))
-        elif args.sis_count is not None:
-            game = game.with_partition(SISPartition.round_robin(game.num_rows, args.sis_count))
     elif fam == "random":
         if args.m is None or args.n is None:
             raise InvalidParams("random needs --m and --n")
@@ -222,6 +218,10 @@ def _cmd_gen(args) -> int:
         game = gen_random(args.m, args.n, cells, args.seed)
     else:  # pragma: no cover - argparse choices guard this
         raise InvalidParams(f"unknown family {fam!r}")
+    if args.partition:
+        game = game.with_partition(_parse_partition(args.partition, game.num_rows))
+    elif args.sis_count is not None:
+        game = game.with_partition(SISPartition.round_robin(game.num_rows, args.sis_count))
     save_game(game, args.out)
     print(f"wrote {game.num_rows}x{game.num_cols} game "
           f"({len(game.partition)} cells) to {args.out}")

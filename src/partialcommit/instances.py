@@ -126,11 +126,17 @@ class X3CInstance:
         object.__setattr__(self, "subsets", tuple(canon))
 
 
-def solve_x3c_bruteforce(inst: X3CInstance, max_subsets: int = 20) -> bool:
+#: ``solve_x3c_bruteforce`` refuses instances with more subsets than this
+X3C_BRUTEFORCE_GUARD = 20
+
+
+def solve_x3c_bruteforce(inst: X3CInstance) -> bool:
     """Exhaustively decide whether m/3 pairwise-disjoint subsets cover everything."""
     k = len(inst.subsets)
-    if k > max_subsets:
-        raise ScaleGuardExceeded(f"{k} subsets exceeds the brute-force guard of {max_subsets}")
+    if k > X3C_BRUTEFORCE_GUARD:
+        raise ScaleGuardExceeded(
+            f"{k} subsets exceeds the brute-force guard of {X3C_BRUTEFORCE_GUARD}"
+        )
     want = inst.num_elements // 3
     if k < want:
         return False
@@ -231,7 +237,7 @@ def _check_family_params(n, eps) -> Fraction:
     return eps
 
 
-def gen_close_to_full(n: int, eps, partition: SISPartition | None = None) -> Game:
+def gen_close_to_full(n: int, eps) -> Game:
     """n x (n+1) game where full distinguishability is worth almost 1 and
     anything less is worth almost nothing.
 
@@ -248,11 +254,10 @@ def gen_close_to_full(n: int, eps, partition: SISPartition | None = None) -> Gam
             u2[i0][j0] = Fraction(0) if i0 == j0 else (1 + Fraction(1, n)) / 2
         u1[i0][n] = 1 - Fraction(n - i) * eps / n
         u2[i0][n] = Fraction(1, 2)
-    part = partition or SISPartition.singletons(n)
-    return Game(u1, u2, part)
+    return Game(u1, u2, SISPartition.singletons(n))
 
 
-def gen_close_to_none(n: int, eps, partition: SISPartition | None = None) -> Game:
+def gen_close_to_none(n: int, eps) -> Game:
     """n x (n+1) game where any distinguishability at all is worth almost 1
     and none is worth exactly 0."""
     eps = _check_family_params(n, eps)
@@ -264,8 +269,7 @@ def gen_close_to_none(n: int, eps, partition: SISPartition | None = None) -> Gam
             u2[i0][j0] = Fraction(0) if i0 == j0 else Fraction(1)
         u1[i0][n] = Fraction(0)
         u2[i0][n] = Fraction(n - Fraction(1, 2), n)
-    part = partition or SISPartition.singletons(n)
-    return Game(u1, u2, part)
+    return Game(u1, u2, SISPartition.singletons(n))
 
 
 # ---------------------------------------------------------------------------

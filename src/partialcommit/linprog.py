@@ -33,7 +33,10 @@ deterministic for a fixed input.
 Artificial columns are kept in the tableau (barred from entering) so the
 final reduced-cost row yields the dual vector for free; every optimal
 outcome carries enough state to re-verify feasibility, dual feasibility and
-strong duality via :meth:`LpOutcome.check_certificate`.
+strong duality via :meth:`LpOutcome.check_certificate`.  One routine checks
+both modes: float certificates on their arrays within ``FLOAT_TOL``, exact
+ones on object arrays with no tolerance.  A float answer re-solved exactly is
+that solve's outcome rounded, and it keeps that solve's exact certificate.
 
 Vertex enumeration (for the SELO and best-Nash support search) rests on one
 row reduction, ``_add_row``, which grows a reduced system by one row or finds
@@ -43,7 +46,7 @@ at a time, so a dependent prefix is dropped with every subset extending it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -135,35 +138,32 @@ class _Certificate:
     mode: str
 
     def check(self) -> bool:
-        if self.mode == "float":
-            return self._check_float()
+        """Primal feasibility (artificials at zero), dual feasibility and
+        strong duality, as one set of array tests for both modes.  Float mode
+        allows ``FLOAT_TOL`` on the point and the rows and 10x that on the
+        artificials, reduced costs and duality gap; exact mode allows nothing,
+        on ``dtype=object`` arrays of the solve's ints and ``Fraction``s."""
         a, b, c, x, y = self.matrix, self.rhs, self.cost, self.x_std, self.duals
-        art = set(self.artificials)
-        if any(v < 0 for v in x) or any(x[j] for j in art):
-            return False
-        if any(sum(a_ij * x_j for a_ij, x_j in zip(row, x)) != b_i for row, b_i in zip(a, b)):
-            return False
-        # dual feasibility: reduced costs nonnegative for the min problem
-        for j in range(len(c)):
-            if j not in art and c[j] < sum(y[i] * a[i][j] for i in range(len(b))):
-                return False
-        return sum(c_j * x_j for c_j, x_j in zip(c, x)) == sum(y_i * b_i for y_i, b_i in zip(y, b))
-
-    def _check_float(self) -> bool:
-        a, x, y, art = self.matrix, self.x_std, self.duals, self.artificials
-        tol = FLOAT_TOL * 10
+        art = self.artificials
+        if self.mode == "float":
+            tol = FLOAT_TOL
+        else:
+            tol = 0
+            b, c, x, y = (np.array(v, dtype=object) for v in (b, c, x, y))
+            a = np.array(a, dtype=object).reshape(len(b), len(c))
         # a point the verifiers would reject (they allow FLOAT_TOL) must not
         # pass here, or a float solve could report an infeasible optimum
-        if (x < -FLOAT_TOL).any() or (np.abs(x[art]) > tol).any():
+        if (x < -tol).any() or (np.abs(x[art]) > tol * 10).any():
             return False
-        if (np.abs(_sum_in_order(a * x, 1) - self.rhs) > FLOAT_TOL).any():
+        if (np.abs(_sum_in_order(a * x, 1) - b) > tol).any():
             return False
-        rc = self.cost - _sum_in_order(y[:, None] * a, 0)
-        rc[art] = 0.0
-        if (rc < -tol).any():
+        # dual feasibility: reduced costs nonnegative for the min problem
+        rc = c - _sum_in_order(y[:, None] * a, 0)
+        rc[art] = 0
+        if (rc < -tol * 10).any():
             return False
-        primal = _sum_in_order(self.cost * x, 0)
-        return bool(abs(primal - _sum_in_order(y * self.rhs, 0)) <= tol * (1 + abs(primal)))
+        primal = _sum_in_order(c * x, 0)
+        return bool(abs(primal - _sum_in_order(y * b, 0)) <= tol * 10 * (1 + abs(primal)))
 
 
 def _sum_in_order(terms: np.ndarray, axis: int):
@@ -499,8 +499,8 @@ def solve_lp(lp: LinearProgram, mode: str = "exact") -> LpOutcome:
 
     A float-mode program the float kernel cannot settle (an optimum whose
     certificate does not verify, or a column with no leaving row) is
-    transparently re-solved exactly and rounded, so float results are always
-    certified too.
+    transparently re-solved exactly and rounded; the rounded outcome keeps
+    the exact certificate, so float results are always certified too.
     """
     std = _standardize(lp, mode)
     res = _simplex_exact(std) if mode == "exact" else _simplex_float(std)
@@ -543,24 +543,13 @@ def _float_via_exact(lp: LinearProgram, reason: str) -> LpOutcome:
     logging.getLogger(__name__).debug("float LP re-solved in exact arithmetic: %s", reason)
     exact = solve_lp(lp, "exact")
     if exact.status != OPTIMAL:
-        return LpOutcome(status=exact.status)
-    cert = exact._certificate
-    float_cert = _Certificate(
-        matrix=np.array(cert.matrix, dtype=float).reshape(len(cert.rhs), len(cert.cost)),
-        rhs=np.array(cert.rhs, dtype=float),
-        cost=np.array(cert.cost, dtype=float),
-        x_std=np.array(cert.x_std, dtype=float),
-        duals=np.array(cert.duals, dtype=float),
-        artificials=cert.artificials,
-        mode="float",
-    )
-    return LpOutcome(
-        status=OPTIMAL,
+        return exact
+    # the rounded numbers keep the exact solve's certificate, which they came from
+    return replace(
+        exact,
         value=float(exact.value),
         solution=tuple(float(x) for x in exact.solution),
-        basis=exact.basis,
         duals=tuple(float(y) for y in exact.duals),
-        _certificate=float_cert,
     )
 
 

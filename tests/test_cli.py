@@ -447,6 +447,23 @@ class TestGen:
         assert code == 0
         assert load_game(out).partition.cells == ((0, 2), (1, 3))
 
+    def test_gen_random_with_partition(self, tmp_path):
+        out = tmp_path / "r.json"
+        code = main([
+            "gen", "--family", "random", "--m", "3", "--n", "3",
+            "--partition", "0|1,2", "--out", str(out),
+        ])
+        assert code == 0
+        assert load_game(out).partition.cells == ((0,), (1, 2))
+
+    def test_gen_example_with_sis_count(self, tmp_path):
+        out = tmp_path / "s.json"
+        code = main(["gen", "--family", "shapley", "--sis-count", "3", "--out", str(out)])
+        assert code == 0
+        game = load_game(out)
+        assert game.partition.cells == ((0,), (1,), (2,))
+        assert game.u1 == gen_example(SHAPLEY).u1
+
     @pytest.mark.parametrize(
         "family, error",
         [

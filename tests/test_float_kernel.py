@@ -6,6 +6,9 @@ reduced-cost vectors) and ``reference_certificate_check`` (pure-Python loops)
 are the replaced code, kept unchanged as oracles: on every standardized
 program below the kernels must return the same numbers bit for bit (status,
 primal point, objective, basis and duals), and the checks the same verdicts.
+``reference_exact_certificate_check`` (exact loops over ints and
+``Fraction``s) is the replaced exact check, the oracle of the same routine
+in exact mode, where it allows no tolerance.
 Where the reference certifies an improving ray, the kernel instead leaves
 the program to exact mode (``_STALLED``), which decides unboundedness.  The
 kernel has also dropped the reference's end-of-run feasibility check: the
@@ -16,15 +19,16 @@ all the same.  The check rejects no optimum of this corpus.
 
 import dataclasses
 import random
+from fractions import Fraction as F
 
 import numpy as np
 from test_deviations import retired_deviation_lp
 from test_solvers import p1_lps
 
-from partialcommit import deviations
+from partialcommit import deviations, solvers
 from partialcommit.deviations import SignalModel, find_deviation
 from partialcommit.experiment import derive_seed
-from partialcommit.games import FLOAT_TOL
+from partialcommit.games import FLOAT_TOL, Game
 from partialcommit.instances import gen_random
 from partialcommit.linprog import (
     _PIVOT_MIN,
@@ -38,7 +42,13 @@ from partialcommit.linprog import (
     _sum_in_order,
     solve_lp,
 )
-from partialcommit.solvers import _seslo_lp, solve_seslo
+from partialcommit.solvers import (
+    _seslo_lp,
+    solve_max_ce,
+    solve_selo,
+    solve_seslo,
+    solve_stackelberg,
+)
 
 
 def reference_simplex_float(std):
@@ -192,6 +202,20 @@ def reference_certificate_check(matrix, rhs, cost, x_std, duals, artificials) ->
     primal = sum(c * x for c, x in zip(cost, x_std))
     dual = sum(y * b for y, b in zip(duals, rhs))
     return abs(primal - dual) <= tol * (1 + abs(primal))
+
+
+def reference_exact_certificate_check(matrix, rhs, cost, x_std, duals, artificials) -> bool:
+    a, b, c, x, y = matrix, rhs, cost, x_std, duals
+    art = set(artificials)
+    if any(v < 0 for v in x) or any(x[j] for j in art):
+        return False
+    if any(sum(a_ij * x_j for a_ij, x_j in zip(row, x)) != b_i for row, b_i in zip(a, b)):
+        return False
+    # dual feasibility: reduced costs nonnegative for the min problem
+    for j in range(len(c)):
+        if j not in art and c[j] < sum(y[i] * a[i][j] for i in range(len(b))):
+            return False
+    return sum(c_j * x_j for c_j, x_j in zip(c, x)) == sum(y_i * b_i for y_i, b_i in zip(y, b))
 
 
 def _plain(res: dict) -> str:
@@ -408,7 +432,8 @@ def test_sums_add_in_python_order():
 
 def test_fallback_certificate_is_checked_on_arrays():
     # the float optimum of this signal LP fails its certificate, so the LP is
-    # re-solved exactly and the float certificate is built from that solve
+    # re-solved exactly: the outcome is the exact one rounded, and it keeps
+    # the exact certificate, which the check reads as object arrays
     game = gen_random(4, 4, 1, seed=derive_seed(6707571899452336207, 4, 4, 0))
     u1, u2 = game.payoffs_in_mode("float")
     lp = _seslo_lp(u1, u2, game.partition, 4, 4)
@@ -416,6 +441,89 @@ def test_fallback_certificate_is_checked_on_arrays():
     assert reference_simplex_float(std)["status"] == OPTIMAL
     out = solve_lp(lp, "float")
     exact = solve_lp(lp, "exact")
-    assert out.solution == tuple(float(x) for x in exact.solution)
-    assert isinstance(out._certificate.matrix, np.ndarray)
-    assert _verdict(out._certificate)
+    assert out == dataclasses.replace(
+        exact,
+        value=float(exact.value),
+        solution=tuple(float(x) for x in exact.solution),
+        duals=tuple(float(y) for y in exact.duals),
+    )
+    assert out._certificate.mode == "exact"
+    assert out.check_certificate()
+    assert _exact_verdict(out._certificate)
+
+
+def _exact_verdict(cert, **changes) -> bool:
+    """``cert.check()`` on an exact certificate with some fields replaced,
+    asserted equal to the exact loop check's verdict."""
+    cert = dataclasses.replace(cert, **changes)
+    want = reference_exact_certificate_check(
+        cert.matrix, cert.rhs, cert.cost, cert.x_std, cert.duals, cert.artificials,
+    )
+    assert cert.check() is want
+    return want
+
+
+def _exact_lps(monkeypatch) -> list[LinearProgram]:
+    """The exact SESLO, CE, Stackelberg, SELO and no-reveal deviation LPs of
+    random games whose payoffs have denominators of at most 100."""
+    lps = []
+    for seed in range(6):
+        game = gen_random(4, 3, 2, seed=seed)
+        u1, u2 = ([[F(x).limit_denominator(100) for x in row] for row in u]
+                  for u in (game.u1, game.u2))
+        game = Game(u1, u2, game.partition)
+        lps += _captured_lps(solvers, monkeypatch, lambda: [
+            solve_seslo(game), solve_max_ce(game), solve_stackelberg(game), solve_selo(game),
+        ])
+        witness = solve_seslo(game).witness
+        lps += _captured_lps(
+            deviations, monkeypatch,
+            lambda: find_deviation(game, witness, SignalModel.NO_REVEAL, "exact"),
+        )
+    return lps
+
+
+def test_exact_certificate_verdicts_match_reference(monkeypatch):
+    tiny = F(1, 10**15)
+    verdicts = []
+    for lp in _exact_lps(monkeypatch):
+        out = solve_lp(lp, "exact")
+        if out.status != OPTIMAL:
+            continue
+        cert = out._certificate
+        verdicts.append(_exact_verdict(cert))
+        assert verdicts[-1]
+        x, cost, art = cert.x_std, cert.cost, cert.artificials
+        nonbasic = [j for j, v in enumerate(x) if v == 0 and j not in art]
+        if nonbasic:
+            j = nonbasic[0]
+            verdicts.append(_exact_verdict(cert, x_std=[F(-1, 10**12) if i == j else v
+                                                        for i, v in enumerate(x)]))
+            # a negative reduced cost at a nonbasic column
+            rc = cost[j] - sum(y * row[j] for y, row in zip(cert.duals, cert.matrix))
+            verdicts.append(_exact_verdict(cert, cost=[v - rc - tiny if i == j else v
+                                                       for i, v in enumerate(cost)]))
+        verdicts.append(_exact_verdict(cert, rhs=[cert.rhs[0] + tiny, *cert.rhs[1:]]))
+        verdicts.append(_exact_verdict(cert, duals=[cert.duals[0] + tiny, *cert.duals[1:]]))
+        if art:
+            # a nonzero artificial, with its row's right-hand side to match
+            k = next(i for i, row in enumerate(cert.matrix) if row[art[0]])
+            verdicts.append(_exact_verdict(
+                cert,
+                x_std=[tiny if i == art[0] else v for i, v in enumerate(x)],
+                rhs=[b + tiny if i == k else b for i, b in enumerate(cert.rhs)],
+            ))
+    assert verdicts.count(False) > 100 and True in verdicts
+
+
+def test_float_outcomes_at_large_payoffs_pass_their_certificates():
+    # at payoffs x1e8, under absolute 1e-9 tolerances, the float kernel
+    # settles none of these signal LPs (it stalls, or its optimum fails its
+    # certificate), so each is re-solved exactly; the rounded answers must
+    # pass their own check (a float certificate rebuilt from the exact solve
+    # fails on 21 of them)
+    for seed in range(40):
+        game = gen_random(5, 5, 2, seed=seed)
+        u1, u2 = ([[x * 1e8 for x in row] for row in u] for u in (game.u1, game.u2))
+        out = solve_lp(_seslo_lp(u1, u2, game.partition, 5, 5), "float")
+        assert out.status == OPTIMAL and out.check_certificate(), seed

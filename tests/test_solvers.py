@@ -2,7 +2,9 @@ import logging
 import math
 import random
 from fractions import Fraction as F
+import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.optimize import linprog as scipy_linprog
 
 from partialcommit import experiment, solvers
@@ -95,6 +97,54 @@ def _induce_column_lp(u1, u2, m: int, n: int, cstar: int) -> LinearProgram:
     cons.append((tuple([1] * m), "=", 1))
     obj = tuple(u1[r][cstar] for r in range(m))
     return LinearProgram(obj, tuple(cons), m)
+
+
+def milp_best_nash_value(game) -> float:
+    """Best row payoff over Nash equilibria by the mixed-integer program of
+    Sandholm, Gilpin & Conitzer (AAAI 2005), solved by HiGHS.  A binary per
+    action either keeps it out of the support (probability 0) or makes its
+    regret 0; big-M is the payoff range plus 1."""
+    u1, u2 = np.array(game.u1, dtype=float), np.array(game.u2, dtype=float)
+    m, n = u1.shape
+    big = max(np.ptp(u1), np.ptp(u2)) + 1
+    # variables: x (m), y (n), v1, v2, then one binary per row and per column
+    x, y, v1, v2, b = 0, m, m + n, m + n + 1, m + n + 2
+    nv = b + m + n
+    rows, lo, hi = [], [], []
+
+    def add(coefs, low, high):
+        row = np.zeros(nv)
+        for j, a in coefs:
+            row[j] += a
+        rows.append(row)
+        lo.append(low)
+        hi.append(high)
+
+    add([(x + r, 1) for r in range(m)], 1, 1)
+    add([(y + c, 1) for c in range(n)], 1, 1)
+    for r in range(m):  # regret of row r: v1 - u1[r] . y, in [0, big * b_r]
+        regret = [(v1, 1), *[(y + c, -u1[r, c]) for c in range(n)]]
+        add(regret, 0, np.inf)
+        add([*regret, (b + r, -big)], -np.inf, 0)
+        add([(x + r, 1), (b + r, 1)], -np.inf, 1)
+    for c in range(n):  # regret of column c: v2 - x . u2[:, c], in [0, big * b_c]
+        regret = [(v2, 1), *[(x + r, -u2[r, c]) for r in range(m)]]
+        add(regret, 0, np.inf)
+        add([*regret, (b + m + c, -big)], -np.inf, 0)
+        add([(y + c, 1), (b + m + c, 1)], -np.inf, 1)
+    objective = np.zeros(nv)
+    objective[v1] = -1.0
+    lower, upper = np.zeros(nv), np.ones(nv)
+    lower[[v1, v2]], upper[[v1, v2]] = -np.inf, np.inf
+    integrality = np.zeros(nv)
+    integrality[b:] = 1
+    res = milp(
+        objective, constraints=LinearConstraint(np.array(rows), lo, hi),
+        integrality=integrality, bounds=Bounds(lower, upper),
+        options={"mip_rel_gap": 0},
+    )
+    assert res.status == 0
+    return -res.fun
 
 
 def stackelberg_per_column(game, mode):
@@ -257,6 +307,18 @@ class TestBestNash:
         assert report.witness.sigma1 == (F(1, 3),) * 3
         assert report.witness.sigma2 == (F(1, 3),) * 3
 
+    def test_matches_independent_milp(self):
+        for seed in range(20):
+            game = gen_random(5, 5, 1, seed=seed)
+            value = solve_best_nash(game, "float").value
+            milp_value = milp_best_nash_value(game)
+            if abs(milp_value - value) <= 1e-6:
+                continue
+            # HiGHS keeps a feasibility slack: the exact solve decides
+            exact = solve_best_nash(game).value
+            assert abs(value - exact) <= 1e-9, seed
+            assert abs(milp_value - exact) <= 1e-5, seed
+
     def test_one_cell_selo_equals_best_nash(self):
         for name in (EXAMPLE_4X2, SHAPLEY):
             game = gen_example(name)
@@ -329,15 +391,19 @@ def unpruned_search(game, mode):
     one: every support pair in the search's order, every vertex of its P2,
     one P1 LP per vertex, and the first optimum kept (in float mode a later
     one must be larger by more than ``FLOAT_TOL``, relative).  The rows come
-    from the solver's builders, so float optima are bit-comparable;
-    ``TestP2Polytope`` checks those builders against the pairwise form."""
-    search = solvers._SupportSearch(game, mode)
+    from the test-owned ``tie_rows``, which states the solver's tie rule in
+    the same arithmetic, so float optima are bit-comparable;
+    ``TestP2Polytope`` checks the solver's rows against the pairwise form."""
+    u1, u2 = game.payoffs_in_mode(mode)
+    pay2 = list(zip(*u2))  # column c's payoff against row r is pay2[c][r]
     m, n = game.num_rows, game.num_cols
+    cells = game.partition.cells
     best = witness = None
     for rsup, csup in solvers._support_pairs(m, n):
-        for vert in enumerate_vertices(search._p2_polytope(rsup, csup), mode):
-            weights = [sum(search.u1[r][c] * y for c, y in zip(csup, vert)) for r in rsup]
-            out = solve_lp(search._p1_lp(rsup, csup, weights), mode)
+        p1_rows = tie_rows(pay2, rsup, csup, (range(n),))
+        for vert in enumerate_vertices(Polytope(len(csup), tie_rows(u1, csup, rsup, cells)), mode):
+            weights = [sum(u1[r][c] * y for c, y in zip(csup, vert)) for r in rsup]
+            out = solve_lp(LinearProgram(tuple(weights), p1_rows, len(rsup)), mode)
             if out.status == INFEASIBLE:
                 break
             assert out.status == OPTIMAL
