@@ -230,7 +230,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_experiment(args) -> int:
     sis_counts = None
-    if args.sis_counts:
+    if args.sis_counts is not None:
         sis_counts = tuple(_parse_ints(args.sis_counts, "--sis-counts"))
     config = ExperimentConfig(
         sizes=((args.m, args.n),),
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--games", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sis-counts", help="comma list, default 1..m")
+    p.add_argument("--sis-counts", help="comma list of distinct counts, default 1..m")
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-svg")
     p.set_defaults(func=_cmd_experiment)

@@ -36,9 +36,12 @@ class ExperimentConfig:
         for m, n in self.sizes:
             if m < 1 or n < 1:
                 raise InvalidParams(f"bad size {m}x{n}")
-            for k in self.counts_for(m):
+            counts = self.counts_for(m)
+            for k in counts:
                 if not (1 <= k <= m):
                     raise InvalidParams(f"sis_count {k} not in 1..{m}")
+            if len(set(counts)) < len(counts):
+                raise InvalidParams(f"sis_counts {counts} repeat a count")
 
     def counts_for(self, m: int) -> tuple[int, ...]:
         return self.sis_counts if self.sis_counts is not None else tuple(range(1, m + 1))

@@ -29,7 +29,12 @@ a proven upper bound for it cannot beat the best value already found:
 * the rectangle bound, the largest row payoff on rows R_sup x columns C_sup;
 * the column-set caps, the best row payoff in a column over row mixtures
   (on all rows) keeping that column, and then all of C_sup, best responses;
-  cached per column set, and an empty set of such mixtures empties the pair.
+  cached per column set, and an empty set of such mixtures empties the pair;
+* the Stackelberg ceiling, the largest single-column cap (the multiple-LPs
+  method of Conitzer & Sandholm, EC 2006): a SELO value
+  Σ_c y_c·(x·u1[:,c]) is at most cap((c,)) for some supported c, so once
+  the best value reaches the ceiling every later pair fails the caps and
+  the search stops.
 
 So the pruned search reports the value and witness of the unpruned one, in
 both modes; ``tests/test_solvers.py`` keeps the unpruned search as its
@@ -222,10 +227,9 @@ def _tie_rows(pay, over, sup, cells) -> tuple:
 class _SupportSearch:
     """Vertex-pair search over support pairs with sound pruning."""
 
-    def __init__(self, game: Game, mode: str, upper_bound=None):
+    def __init__(self, game: Game, mode: str):
         self.game = game
         self.mode = mode
-        self.upper_bound = None if upper_bound is None else to_mode(upper_bound, mode)
         self.u1, self.u2 = game.payoffs_in_mode(mode)
         self.u2t = tuple(zip(*self.u2))  # column player's payoff, column first
         self.m, self.n = game.num_rows, game.num_cols
@@ -233,6 +237,9 @@ class _SupportSearch:
         self.best = None
         self.witness = None
         self._csup_cap: dict = {}
+        # None when no column is ever a best response; then no pair survives
+        caps = [self.csup_cap((c,)) for c in range(self.n)]
+        self.ceiling = max((cap for cap in caps if cap is not None), default=None)
 
     def _p1_lp(self, rsup, csup, objective) -> LinearProgram:
         """Row mixtures over rsup under which every csup column is a best
@@ -315,8 +322,8 @@ class _SupportSearch:
                     sigma2[c] = vert[j]
                 self.best = out.value
                 self.witness = MixedProfile(sigma1, sigma2, self.mode)
-                if self.upper_bound is not None and self.best >= self.upper_bound:
-                    return True
+                if self.best >= self.ceiling:
+                    return True  # every later pair fails the column caps
         return False
 
 
@@ -330,20 +337,11 @@ def _check_scale(game: Game, allow_large: bool) -> None:
         )
 
 
-def solve_selo(
-    game: Game,
-    mode: str = "exact",
-    upper_bound=None,
-    allow_large: bool = False,
-) -> SolveReport:
+def solve_selo(game: Game, mode: str = "exact", allow_large: bool = False) -> SolveReport:
     """Best row payoff over uncorrelated profiles with no undetectable
-    beneficial deviations.
-
-    ``upper_bound`` (for instance a known signaling optimum, which always
-    dominates) stops the search as soon as it is attained.
-    """
+    beneficial deviations."""
     _check_scale(game, allow_large)
-    search = _SupportSearch(game, mode, upper_bound)
+    search = _SupportSearch(game, mode)
     value, witness, stats = search.run()
     report = verify_mixed(game, witness, mode)
     return SolveReport(

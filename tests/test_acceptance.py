@@ -129,8 +129,7 @@ def test_criterion_3_x3c_reduction_equivalence():
     for inst in instances:
         game = gen_x3c_game(inst)
         has_cover = solve_x3c_bruteforce(inst)
-        ceiling = solve_seslo(game, "float").value  # valid bound: signaling only helps
-        value = solve_selo(game, "float", upper_bound=ceiling, allow_large=True).value
+        value = solve_selo(game, "float", allow_large=True).value
         assert (value > TOL) == has_cover, f"mismatch on {inst}"
         if has_cover:
             positives += 1

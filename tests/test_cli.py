@@ -226,6 +226,10 @@ class TestMalformedInput:
                          id="eps-zero-denominator"),
             pytest.param(["experiment", "--m", "3", "--n", "3", "--games", "1",
                           "--sis-counts", "1,a"], id="sis-counts-token"),
+            pytest.param(["experiment", "--m", "2", "--n", "2", "--games", "1",
+                          "--sis-counts", "1,1"], id="sis-counts-repeated"),
+            pytest.param(["experiment", "--m", "2", "--n", "2", "--games", "1",
+                          "--sis-counts", ""], id="sis-counts-empty"),
         ],
     )
     def test_malformed_argument(self, tmp_path, capsys, argv):

@@ -75,6 +75,8 @@ class TestRunExperiment:
             ExperimentConfig(sizes=())
         with pytest.raises(InvalidParams):
             ExperimentConfig(sizes=((3, 3),), sis_counts=(4,))
+        with pytest.raises(InvalidParams):
+            ExperimentConfig(sizes=((3, 3),), sis_counts=(1, 2, 1))
 
 
 class TestOutputs:

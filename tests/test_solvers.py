@@ -247,12 +247,18 @@ class TestSelo:
         with pytest.raises(ScaleGuardExceeded):
             solve_best_nash(game, mode="float")
 
-    def test_upper_bound_early_stop_keeps_value(self):
-        game = gen_example(EXAMPLE_4X2)
-        free = solve_selo(game)
-        capped = solve_selo(game, upper_bound=F(7, 2))
-        assert capped.value == free.value == F(7, 2)
-        assert capped.stats.supports_examined <= free.stats.supports_examined
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_stops_at_the_stackelberg_ceiling(self, mode):
+        # with singleton cells the SELO value 13/2 is the largest
+        # single-column cap, so the search ends before the last of the 45
+        # support pairs, with the value and witness of the full search
+        game = gen_example(EXAMPLE_4X2).with_partition(SISPartition.singletons(4))
+        report = solve_selo(game, mode)
+        assert abs(report.value - F(13, 2)) <= (0 if mode == "exact" else 1e-9)
+        assert report.stats.supports_examined < 45
+        value, witness = unpruned_search(game, mode)
+        assert report.value == value
+        assert (report.witness.sigma1, report.witness.sigma2) == (witness.sigma1, witness.sigma2)
 
 
 class TestStackelberg:
@@ -384,6 +390,32 @@ class TestCrossConceptInvariants:
         game = gen_example(EXAMPLE_4X2)
         report = solve_selo(game)
         assert expected_utilities(game, report.witness)[0] == report.value
+
+
+class TestSeloAtFiveByFive:
+    """SELO identities one size beyond acceptance criterion 5's 4x4."""
+
+    def test_singleton_cells_give_stackelberg_exactly(self):
+        # the support search against the signal LP: two engines, one value
+        for seed in range(20):
+            game = gen_random(5, 5, 5, seed=seed)
+            u1, u2 = ([[F(x).limit_denominator(100) for x in row] for row in u]
+                      for u in (game.u1, game.u2))
+            game = Game(u1, u2, game.partition)
+            assert solve_selo(game).value == solve_stackelberg(game).value, seed
+
+    def test_refinement_chain_below_seslo(self):
+        partitions = [
+            SISPartition.one_cell(5), SISPartition.round_robin(5, 2), SISPartition.singletons(5)
+        ]
+        for seed in range(20):
+            base = gen_random(5, 5, 1, seed=seed)
+            values = []
+            for partition in partitions:
+                game = base.with_partition(partition)
+                values.append(solve_selo(game, "float").value)
+                assert values[-1] <= solve_seslo(game, "float").value + 1e-9, seed
+            assert values[0] <= values[1] + 1e-9 and values[1] <= values[2] + 1e-9, seed
 
 
 def unpruned_search(game, mode):
