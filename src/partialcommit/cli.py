@@ -101,7 +101,7 @@ def _cmd_solve(args) -> int:
     payload = {
         "concept": report.concept,
         "mode": report.mode,
-        "value": _json_value(report.value),
+        "value": report.value,
         "value_float": float(report.value),
         "witness": profile_to_dict(report.witness),
         "verifier_passed": report.verifier_passed,
@@ -143,8 +143,8 @@ def _cmd_verify(args) -> int:
     payload = {
         "profile_kind": kind,
         "passed": report.passed,
-        "max_column_gain": _json_value(report.max_column_gain),
-        "max_row_gain": _json_value(report.max_row_gain),
+        "max_column_gain": report.max_column_gain,
+        "max_row_gain": report.max_row_gain,
         "column_witness": report.column_witness,
     }
     _emit(human, payload)
@@ -162,18 +162,12 @@ def _cmd_deviate(args) -> int:
     ]
     payload = {
         "model": args.model,
-        "gain": _json_value(plan.gain),
+        "gain": plan.gain,
         "gain_float": float(plan.gain),
-        "delta": _nested(plan.delta),
+        "delta": plan.delta,
     }
     _emit(human, payload)
     return 0
-
-
-def _nested(x):
-    if isinstance(x, tuple):
-        return [_nested(v) for v in x]
-    return _json_value(x)
 
 
 def _parse_partition(text: str, num_rows: int) -> SISPartition:

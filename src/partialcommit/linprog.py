@@ -6,29 +6,30 @@ payoff, so every LP the package builds has this form; ``x = 0`` meets each
 ``<=`` row, so only ``=`` rows need an artificial column.
 
 Both arithmetic modes run a two-phase tableau simplex on min c.y, A y = b,
-y >= 0, with c the negated objective.  Exact mode uses Bland's
-smallest-index rule (no rounding anywhere, guaranteed termination) on a
-fraction-free tableau: every row, and the reduced-cost row, is a list of
-Python ints over one positive denominator.  A row update skips the zero
-entries of the row it subtracts, and a row is brought to lowest terms only
-once its denominator has grown past ``_REDUCE_BITS``; the pivot row alone is
-reduced at every pivot.  A positive row scale cancels out of every sign test
-and cross-multiplied ratio, so the pivots are those of a rational tableau,
-made with integer arithmetic only.  ``Fraction`` values are built just for
-the solution, duals and objective it returns, which puts them in lowest
-terms.
+y >= 0, with c the negated objective, on one layout: the constraint rows over
+``[A | b]`` with the reduced-cost row last, so a pivot updates every row
+alike, and the artificial columns last, behind a cutoff that no entering
+column passes.  The kernels differ only in arithmetic and pricing.  Exact
+mode uses Bland's smallest-index rule (no rounding anywhere, guaranteed
+termination) on integer rows: each row is a list of Python ints over one
+positive denominator.  A row update skips the zero entries of the row it
+subtracts, and a row is brought to lowest terms only once its denominator
+has grown past ``_REDUCE_BITS``; the pivot row alone is reduced at every
+pivot.  A positive row scale cancels out of every sign test and
+cross-multiplied ratio, so the pivots are those of a rational tableau, made
+with integer arithmetic only.  ``Fraction`` values are built just for the
+solution, duals and objective it returns, which puts them in lowest terms.
 
 Float mode works on numpy arrays end to end under a 1e-9 tolerance:
 standardization converts the constraint matrix, right-hand side and cost in
-one call each, and the kernel keeps one tableau, the constraint rows over
-``[A | b]`` with the reduced-cost row last, so a pivot is one rank-one
-update.  It uses the Dantzig rule with largest-pivot tie-breaking, which
-wanders far less on degenerate programs; an optimum must pass its
-certificate and an infeasibility verdict its Farkas vector, and anything
-else (a stall, a column with no leaving row, a failed check) is re-solved
-in exact arithmetic, which alone reports unboundedness, and logged at debug
-level on the ``partialcommit.linprog`` logger.  Both modes are fully
-deterministic for a fixed input.
+one call each, and a pivot is one rank-one update of the tableau.  It uses
+the Dantzig rule with largest-pivot tie-breaking, which wanders far less on
+degenerate programs; an optimum must pass its certificate and an
+infeasibility verdict its Farkas vector, and anything else (a stall, a
+column with no leaving row, a failed check) is re-solved in exact
+arithmetic, which alone reports unboundedness, and logged at debug level on
+the ``partialcommit.linprog`` logger.  Both modes are fully deterministic
+for a fixed input.
 
 Artificial columns are kept in the tableau (barred from entering) so the
 final reduced-cost row yields the dual vector for free; every optimal
@@ -180,7 +181,6 @@ class LpOutcome:
     status: str
     value: Number | None = None
     solution: tuple[Number, ...] | None = None
-    basis: tuple[int, ...] | None = None
     duals: tuple[Number, ...] | None = None
     _certificate: _Certificate | None = field(default=None, repr=False)
 
@@ -205,32 +205,25 @@ def _standardize(lp: LinearProgram, mode: str):
     float mode.
     """
     v, m = lp.num_vars, len(lp.constraints)
+    # column layout: structural vars, then slacks, then artificials
+    ncols = v + m
     if mode == "float":
-        a = np.array([coefs for coefs, _, _ in lp.constraints], dtype=float).reshape(m, v)
-        if not np.isfinite(a).all():
+        matrix = np.zeros((m, ncols))
+        matrix[:, :v] = np.array([row for row, _, _ in lp.constraints], dtype=float).reshape(m, v)
+        if not np.isfinite(matrix).all():
             # a payoff difference overflowed: stop before the kernel pivots on it
-            bad = float(a[~np.isfinite(a)][0])
+            bad = float(matrix[~np.isfinite(matrix)][0])
             raise NonFiniteNumber(
                 f"a float computation reached {bad}; solve with --mode exact instead"
             )
         b = np.array([rhs for _, _, rhs in lp.constraints], dtype=float)
-        cost = -np.array(lp.objective, dtype=float)
+        cost = np.concatenate([-np.array(lp.objective, dtype=float), np.zeros(m)])
     else:
-        a = [[_exact(x) for x in coefs] for coefs, _, _ in lp.constraints]
+        matrix = [[_exact(x) for x in coefs] + [0] * m for coefs, _, _ in lp.constraints]
         b = [_exact(rhs) for _, _, rhs in lp.constraints]
-        cost = [-_exact(x) for x in lp.objective]
-
-    # column layout: structural vars, then slacks, then artificials
+        cost = [-_exact(x) for x in lp.objective] + [0] * m
     slack_rows = [i for i, (_, rel, _) in enumerate(lp.constraints) if rel == "<="]
     art_rows = [i for i, (_, rel, _) in enumerate(lp.constraints) if rel == "="]
-    ncols = v + m
-    if mode == "float":
-        matrix = np.zeros((m, ncols))
-        matrix[:, :v] = a
-        cost = np.concatenate([cost, np.zeros(m)])
-    else:
-        matrix = [row + [0] * m for row in a]
-        cost = cost + [0] * m
     # column giving the i-th unit vector (the row's slack or artificial):
     # the starting basis, and where the duals are read
     ident = [None] * m
@@ -241,7 +234,6 @@ def _standardize(lp: LinearProgram, mode: str):
         "matrix": matrix,
         "rhs": b,
         "cost": cost,
-        "basis": ident,
         "artificials": list(range(v + len(slack_rows), ncols)),
         "ident": ident,
         "num_vars": v,
@@ -287,19 +279,23 @@ def _sub_multiple(row, den, other, s, t):
 
 
 def _simplex_exact(std):
-    """Two-phase Bland simplex on integer rows (see the module docstring);
-    the right-hand side is the last entry of each row.  Signs are read from
-    the numerators, since every denominator is positive.
+    """Two-phase Bland simplex on integer rows (see the module docstring):
+    the constraint rows with the right-hand side last, then the reduced-cost
+    row.  Signs are read from the numerators, since every denominator is
+    positive.
     """
     rows, dens = [], []
     for coefs, b in zip(std["matrix"], std["rhs"]):
         row, den = _int_row([*coefs, b])
         rows.append(row)
         dens.append(den)
-    basis = list(std["basis"])
+    rows.append(None)  # the reduced-cost row, priced by run()
+    dens.append(None)
+    basis = list(std["ident"])
     ncols = std["ncols"]
-    art = set(std["artificials"])
-    live = list(range(len(rows)))  # original row index per tableau row
+    # the artificial columns come last and never enter
+    real = ncols - len(std["artificials"])
+    live = list(range(len(basis)))  # original row index per tableau row
 
     def pivot(r, j):
         prow = rows[r]
@@ -317,9 +313,8 @@ def _simplex_exact(std):
             if f and i != r:
                 rows[i], dens[i] = _sub_multiple(row, dens[i], prow, p, f)
         basis[r] = j
-        return prow, p
 
-    def run(cost, enterable):
+    def run(cost):
         z, dz = _int_row([*cost, 0])
         for i, bcol in enumerate(basis):
             f = cost[bcol]
@@ -328,17 +323,15 @@ def _simplex_exact(std):
                 z, dz = _sub_multiple(
                     z, dz, rows[i], f.denominator * dens[i], f.numerator * dz
                 )
+        rows[-1], dens[-1] = z, dz
         for _ in range(_MAX_PIVOTS):
-            entering = None
-            for j in range(ncols):
-                if enterable[j] and z[j] < 0:
-                    entering = j
-                    break
+            z = rows[-1]
+            entering = next((j for j in range(real) if z[j] < 0), None)
             if entering is None:
-                return z, dz, OPTIMAL
+                return OPTIMAL
             # min ratio rhs_i / a_i, where the row denominator cancels
             leave = None
-            for i, row in enumerate(rows):
+            for i, row in enumerate(rows[:-1]):
                 a = row[entering]
                 if a > 0:
                     if leave is not None:
@@ -347,34 +340,29 @@ def _simplex_exact(std):
                             continue
                     leave, best_b, best_a = i, row[ncols], a
             if leave is None:
-                return z, dz, UNBOUNDED
-            prow, p = pivot(leave, entering)
-            f = z[entering]
-            if f:
-                z, dz = _sub_multiple(z, dz, prow, p, f)
+                return UNBOUNDED
+            pivot(leave, entering)
         raise RuntimeError("simplex failed to terminate")
 
-    if art:
+    if real < ncols:
         # artificials start basic and may leave, but never re-enter; fixing
         # them at zero once they leave preserves the feasibility decision
-        cost1 = [1 if j in art else 0 for j in range(ncols)]
-        z, _, _ = run(cost1, [j not in art for j in range(ncols)])
-        if z[ncols] < 0:
+        run([0] * real + [1] * (ncols - real))
+        if rows[-1][ncols] < 0:
             return {"status": INFEASIBLE}
         # drive remaining artificials out of the basis
-        for i in range(len(rows) - 1, -1, -1):
-            if basis[i] in art:
+        for i in range(len(basis) - 1, -1, -1):
+            if basis[i] >= real:
                 row = rows[i]
-                target = next((j for j in range(ncols) if j not in art and row[j]), None)
+                target = next((j for j in range(real) if row[j]), None)
                 if target is not None:
                     pivot(i, target)
                 else:
                     del rows[i], dens[i], basis[i], live[i]
 
-    enterable = [j not in art for j in range(ncols)]
-    z, dz, status = run(std["cost"], enterable)
-    if status == UNBOUNDED:
+    if run(std["cost"]) == UNBOUNDED:
         return {"status": UNBOUNDED}
+    z, dz = rows.pop(), dens.pop()
     x = [Fraction(0)] * ncols
     for row, den, bcol in zip(rows, dens, basis):
         x[bcol] = Fraction(row[ncols], den)
@@ -404,7 +392,7 @@ def _simplex_float(std):
     t = np.zeros((m + 1, ncols + 1))
     t[:m, :ncols] = orig
     t[:m, ncols] = orig_rhs
-    basis = np.array(std["basis"], dtype=int)
+    basis = np.array(std["ident"], dtype=int)
     ident = np.array(std["ident"], dtype=int)
     # the artificial columns come last and never enter
     real = ncols - len(std["artificials"])
@@ -526,7 +514,6 @@ def solve_lp(lp: LinearProgram, mode: str = "exact") -> LpOutcome:
         status=OPTIMAL,
         value=value,
         solution=tuple(solution),
-        basis=res["basis"],
         duals=tuple(duals),
         _certificate=cert,
     )

@@ -32,9 +32,9 @@ a proven upper bound for it cannot beat the best value already found:
   cached per column set, and an empty set of such mixtures empties the pair;
 * the Stackelberg ceiling, the largest single-column cap (the multiple-LPs
   method of Conitzer & Sandholm, EC 2006): a SELO value
-  Σ_c y_c·(x·u1[:,c]) is at most cap((c,)) for some supported c, so once
-  the best value reaches the ceiling every later pair fails the caps and
-  the search stops.
+  Σ_c y_c·(x·u1[:,c]) is at most cap((c,)) for some supported c, so no
+  later pair's value exceeds the ceiling, and the search stops once the
+  ceiling itself could not replace the best value.
 
 So the pruned search reports the value and witness of the unpruned one, in
 both modes; ``tests/test_solvers.py`` keeps the unpruned search as its
@@ -322,8 +322,8 @@ class _SupportSearch:
                     sigma2[c] = vert[j]
                 self.best = out.value
                 self.witness = MixedProfile(sigma1, sigma2, self.mode)
-                if self.best >= self.ceiling:
-                    return True  # every later pair fails the column caps
+                if not self._improves(self.ceiling):
+                    return True  # no later pair can replace the best
         return False
 
 

@@ -22,6 +22,8 @@ from partialcommit.games import (
     save_profile,
 )
 from partialcommit.instances import (
+    EXAMPLE_4X2,
+    EXAMPLE_NAMES,
     SHAPLEY,
     SIGNALING_5X4,
     WEAKSIG_6X4,
@@ -367,6 +369,33 @@ class TestVerifyAndDeviate:
         with pytest.raises(SystemExit) as exc:
             main(["deviate", "--game", "x", "--profile", "y", "--model", "bogus"])
         assert exc.value.code == 2
+
+    def test_rerun_identical_bytes(self, tmp_path, capsys):
+        # every analysis command, on every SESLO and SELO witness it reports
+        cases = [(name, "exact") for name in (EXAMPLE_4X2, SHAPLEY)]
+        cases += [(name, "float") for name in EXAMPLE_NAMES]
+
+        def run_all():
+            out = []
+            for name, mode in cases:
+                gpath, ppath = tmp_path / f"{name}.json", tmp_path / f"{name}-{mode}-p.json"
+                save_game(gen_example(name), gpath)
+                common = ["--game", str(gpath), "--mode", mode]
+                for concept in ("seslo", "selo", "stackelberg", "nash", "ce"):
+                    assert main(["solve", "--concept", concept, *common]) == 0
+                    payload, text = _last_json(capsys)
+                    out.append(text)
+                    if concept not in ("seslo", "selo"):
+                        continue
+                    ppath.write_text(json.dumps(payload["witness"]))
+                    runs = [["verify", *flag] for flag in ([], ["--correlated"])]
+                    runs += [["deviate", "--model", model] for model in sorted(_MODELS)]
+                    for run in runs:
+                        assert main([*run, *common, "--profile", str(ppath)]) == 0
+                        out.append(capsys.readouterr().out)
+            return "".join(out)
+
+        assert run_all() == run_all()
 
 
 #: runs the CLI with ``import scipy`` failing: the arguments are a game file

@@ -34,7 +34,7 @@ from partialcommit.solvers import _seslo_lp, solve_seslo
 def reference_simplex_exact(std):
     matrix = [row[:] for row in std["matrix"]]
     rhs = list(std["rhs"])
-    basis = list(std["basis"])
+    basis = list(std["ident"])
     ncols = std["ncols"]
     art = set(std["artificials"])
     live = list(range(len(matrix)))  # original row index per tableau row

@@ -140,7 +140,7 @@ class TestSolveLp:
         )
         a = solve_lp(lp, "exact")
         b = solve_lp(lp, "exact")
-        assert a.value == b.value and a.solution == b.solution and a.basis == b.basis
+        assert a.value == b.value and a.solution == b.solution and a.duals == b.duals
 
     def test_float_zero_optimum_is_not_negative_zero(self):
         # the max form is solved as min of the negated cost, whose zero

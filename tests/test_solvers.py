@@ -260,6 +260,20 @@ class TestSelo:
         assert report.value == value
         assert (report.witness.sigma1, report.witness.sigma2) == (witness.sigma1, witness.sigma2)
 
+    @pytest.mark.parametrize("solve", [solve_selo, solve_best_nash])
+    def test_float_stop_within_rounding_of_the_ceiling(self, solve):
+        # the best value (a P1 LP on the support rows) lands within rounding
+        # of the ceiling (a cap LP on all rows) but not on it, so a stop
+        # that needs best >= ceiling would examine all 105 support pairs
+        game = gen_random(4, 3, 2, seed=22)
+        report = solve(game, "float")
+        assert report.stats.supports_examined < 105
+        if solve is solve_best_nash:
+            game = game.with_partition(SISPartition.one_cell(4))
+        value, witness = unpruned_search(game, "float")
+        assert report.value == value
+        assert (report.witness.sigma1, report.witness.sigma2) == (witness.sigma1, witness.sigma2)
+
 
 class TestStackelberg:
     def test_example_game(self):
