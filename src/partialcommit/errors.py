@@ -50,5 +50,5 @@ class InvalidParams(GameError):
 
 
 class SolverFailure(GameError):
-    """A solver LP ended unexpectedly infeasible or unbounded, or a search
-    found no feasible profile."""
+    """A solver LP ended unexpectedly infeasible, or a search found no
+    feasible profile."""

@@ -1,23 +1,25 @@
 """Deterministic linear programming and vertex enumeration.
 
 One LP form: maximize ``objective . x`` over ``<=`` and ``=`` rows with
-nonnegative right-hand sides, ``x >= 0``.  Every concept is a best row
-payoff, so every LP the package builds has this form; ``x = 0`` meets each
-``<=`` row, so only ``=`` rows need an artificial column.
+nonnegative right-hand sides, ``x >= 0``, on a bounded region (every package
+LP has a ``sum = 1`` row), so a solve ends optimal or infeasible.  ``x = 0``
+meets each ``<=`` row, so only ``=`` rows need an artificial column.
 
 Both arithmetic modes run a two-phase tableau simplex on min c.y, A y = b,
 y >= 0, with c the negated objective, on one layout: the constraint rows over
 ``[A | b]`` with the reduced-cost row last, so a pivot updates every row
 alike, and the artificial columns last, behind a cutoff that no entering
-column passes.  The kernels differ only in arithmetic and pricing.  Exact
-mode uses Bland's smallest-index rule (no rounding anywhere, guaranteed
-termination) on integer rows: each row is a list of Python ints over one
-positive denominator.  A row update skips the zero entries of the row it
-subtracts, and a row is brought to lowest terms only once its denominator
-has grown past ``_REDUCE_BITS``; the pivot row alone is reduced at every
-pivot.  A positive row scale cancels out of every sign test and
-cross-multiplied ratio, so the pivots are those of a rational tableau, made
-with integer arithmetic only.  ``Fraction`` values are built just for the
+column passes.  Phase 1 always runs, and tableau row i stays program row i: a
+redundant ``=`` row, with no real entry left after phase 1, stays inert, its
+artificial basic at zero and its dual 0.  The kernels differ only in
+arithmetic and pricing.  Exact mode uses Bland's smallest-index rule (no
+rounding anywhere, guaranteed termination) on integer rows: each row is a list
+of Python ints over one positive denominator.  A row update skips the zero
+entries of the row it subtracts, and a row is brought to lowest terms only
+once its denominator has grown past ``_REDUCE_BITS``; the pivot row alone is
+reduced at every pivot.  A positive row scale cancels out of every sign test
+and cross-multiplied ratio, so the pivots are those of a rational tableau,
+made with integer arithmetic only.  ``Fraction`` values are built just for the
 solution, duals and objective it returns, which puts them in lowest terms.
 
 Float mode works on numpy arrays end to end under a 1e-9 tolerance:
@@ -26,10 +28,9 @@ one call each, and a pivot is one rank-one update of the tableau.  It uses
 the Dantzig rule with largest-pivot tie-breaking, which wanders far less on
 degenerate programs; an optimum must pass its certificate and an
 infeasibility verdict its Farkas vector, and anything else (a stall, a
-column with no leaving row, a failed check) is re-solved in exact
-arithmetic, which alone reports unboundedness, and logged at debug level on
-the ``partialcommit.linprog`` logger.  Both modes are fully deterministic
-for a fixed input.
+column with no leaving row, a failed check) is re-solved in exact arithmetic
+and logged at debug level on the ``partialcommit.linprog`` logger.  Both
+modes are fully deterministic for a fixed input.
 
 Artificial columns are kept in the tableau (barred from entering) so the
 final reduced-cost row yields the dual vector for free; every optimal
@@ -59,7 +60,6 @@ from .games import FLOAT_TOL, Number, to_mode
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 _STALLED = "stalled"  # internal: the float kernel leaves the program to exact mode
 
@@ -94,7 +94,7 @@ def _check_rows(constraints: tuple[Constraint, ...], num_vars: int) -> None:
 @dataclass(frozen=True)
 class LinearProgram:
     """Maximize ``objective . x`` over ``<=`` and ``=`` rows with
-    nonnegative right-hand sides, ``x >= 0``.
+    nonnegative right-hand sides, ``x >= 0``; the region must be bounded.
 
     A ``>=`` row is written as a ``<=`` row with its coefficients negated, a
     minimum as the maximum of the negated objective, and an upper bound as
@@ -295,7 +295,6 @@ def _simplex_exact(std):
     ncols = std["ncols"]
     # the artificial columns come last and never enter
     real = ncols - len(std["artificials"])
-    live = list(range(len(basis)))  # original row index per tableau row
 
     def pivot(r, j):
         prow = rows[r]
@@ -328,7 +327,7 @@ def _simplex_exact(std):
             z = rows[-1]
             entering = next((j for j in range(real) if z[j] < 0), None)
             if entering is None:
-                return OPTIMAL
+                return
             # min ratio rhs_i / a_i, where the row denominator cancels
             leave = None
             for i, row in enumerate(rows[:-1]):
@@ -340,41 +339,34 @@ def _simplex_exact(std):
                             continue
                     leave, best_b, best_a = i, row[ncols], a
             if leave is None:
-                return UNBOUNDED
+                raise RuntimeError("the program is unbounded")
             pivot(leave, entering)
         raise RuntimeError("simplex failed to terminate")
 
-    if real < ncols:
-        # artificials start basic and may leave, but never re-enter; fixing
-        # them at zero once they leave preserves the feasibility decision
-        run([0] * real + [1] * (ncols - real))
-        if rows[-1][ncols] < 0:
-            return {"status": INFEASIBLE}
-        # drive remaining artificials out of the basis
-        for i in range(len(basis) - 1, -1, -1):
-            if basis[i] >= real:
-                row = rows[i]
-                target = next((j for j in range(real) if row[j]), None)
-                if target is not None:
-                    pivot(i, target)
-                else:
-                    del rows[i], dens[i], basis[i], live[i]
+    # artificials start basic and may leave, but never re-enter; fixing
+    # them at zero once they leave preserves the feasibility decision
+    run([0] * real + [1] * (ncols - real))
+    if rows[-1][ncols] < 0:
+        return {"status": INFEASIBLE}
+    # drive remaining artificials out of the basis; one on a row with no
+    # real entry left stays basic at zero, and that redundant row is inert
+    for i in range(len(basis) - 1, -1, -1):
+        if basis[i] >= real:
+            target = next((j for j in range(real) if rows[i][j]), None)
+            if target is not None:
+                pivot(i, target)
 
-    if run(std["cost"]) == UNBOUNDED:
-        return {"status": UNBOUNDED}
+    run(std["cost"])
     z, dz = rows.pop(), dens.pop()
     x = [Fraction(0)] * ncols
     for row, den, bcol in zip(rows, dens, basis):
         x[bcol] = Fraction(row[ncols], den)
-    duals = [Fraction(0)] * len(std["rhs"])
-    for i in live:
-        duals[i] = Fraction(-z[std["ident"][i]], dz)
     return {
         "status": OPTIMAL,
         "x": x,
         "obj": Fraction(-z[ncols], dz),
-        "basis": tuple(sorted(basis)),
-        "duals": duals,
+        "basis": tuple(sorted(b for b in basis if b < real)),
+        "duals": [Fraction(-z[j], dz) for j in std["ident"]],
     }
 
 
@@ -396,17 +388,16 @@ def _simplex_float(std):
     ident = np.array(std["ident"], dtype=int)
     # the artificial columns come last and never enter
     real = ncols - len(std["artificials"])
-    live = np.arange(m)  # original row index per tableau row
 
-    def pivot(t, r, j):
+    def pivot(r, j):
         prow = t[r] / t[r, j]
         col = t[:, j, None].copy()
         col[r] = 0.0
-        t -= col * prow
+        np.subtract(t, col * prow, out=t)
         t[r] = prow
         basis[r] = j
 
-    def run(t, cost):
+    def run(cost):
         # Dantzig entering with largest-pivot tie-breaking: much less
         # degenerate wandering than Bland on these all-zero-rhs programs.
         # A stall cap, like a column with no leaving row, hands the program
@@ -416,7 +407,7 @@ def _simplex_float(std):
         for i in cost[basis].nonzero()[0]:
             t[-1] -= cost[basis[i]] * t[i]
         z, rhs = t[-1, :real], t[:-1, ncols]  # views that follow the pivots
-        for _ in range(200 + 40 * (len(t) - 1 + ncols)):
+        for _ in range(200 + 40 * (m + ncols)):
             j = int(z.argmin())
             if z[j] >= -tol:
                 return OPTIMAL
@@ -435,45 +426,41 @@ def _simplex_float(std):
             if ties.size > 1:  # the largest pivot, then the smallest basic column
                 ties = ties[col[ties] == col[ties].max()]
                 leave = ties[basis[ties].argmin()]
-            pivot(t, int(leave), j)
+            pivot(int(leave), j)
         return _STALLED
 
-    if real < ncols:
-        cost1 = np.zeros(ncols)
-        cost1[real:] = 1.0
-        if run(t, cost1) is _STALLED:
-            return {"status": _STALLED}
-        if -t[-1, ncols] > tol * 10:
-            # validate the implied Farkas certificate before trusting it
-            y = cost1[ident] - t[-1, ident]
-            lhs = y @ orig
-            if (y @ orig_rhs) > 1e-8 and float(lhs[:real].max(initial=0.0)) <= 1e-7:
-                return {"status": INFEASIBLE}
-            return {"status": _STALLED}
-        # drive the artificials out of the basis, last row first; a row with
-        # no real entry left is redundant and is deleted
-        keep = np.ones(m + 1, dtype=bool)
-        for i in (basis >= real).nonzero()[0][::-1]:
-            cands = (np.abs(t[i, :real]) > tol).nonzero()[0]
-            if cands.size:
-                well_scaled = cands[np.abs(t[i, cands]) > _PIVOT_MIN]
-                pivot(t, i, (well_scaled if well_scaled.size else cands)[0])
-            else:
-                keep[i] = False
-        t, basis, live = t[keep], basis[keep[:-1]], live[keep[:-1]]
+    cost1 = np.zeros(ncols)
+    cost1[real:] = 1.0
+    if run(cost1) is _STALLED:
+        return {"status": _STALLED}
+    if -t[-1, ncols] > tol * 10:
+        # validate the implied Farkas certificate before trusting it
+        y = cost1[ident] - t[-1, ident]
+        lhs = y @ orig
+        if (y @ orig_rhs) > 1e-8 and float(lhs[:real].max(initial=0.0)) <= 1e-7:
+            return {"status": INFEASIBLE}
+        return {"status": _STALLED}
+    # drive the artificials out of the basis, last row first; a redundant
+    # row, with no real entry left, is zeroed and stays inert
+    for i in (basis >= real).nonzero()[0][::-1]:
+        cands = (np.abs(t[i, :real]) > tol).nonzero()[0]
+        if cands.size:
+            well_scaled = cands[np.abs(t[i, cands]) > _PIVOT_MIN]
+            pivot(i, (well_scaled if well_scaled.size else cands)[0])
+        else:
+            t[i, :real] = t[i, ncols] = 0.0
 
     cost2 = std["cost"]
-    if run(t, cost2) is _STALLED:
+    if run(cost2) is _STALLED:
         return {"status": _STALLED}
     x = np.zeros(ncols)
     x[basis] = t[:-1, ncols]
-    duals = np.zeros(m)
-    duals[live] = -t[-1, ident[live]]
+    duals = np.where(basis < real, -t[-1, ident], 0.0)
     return {
         "status": OPTIMAL,
         "x": x,
         "obj": float(cost2 @ x),
-        "basis": tuple(sorted(basis.tolist())),
+        "basis": tuple(sorted(basis[basis < real].tolist())),
         "duals": duals,
     }
 
@@ -483,12 +470,13 @@ def _simplex_float(std):
 
 
 def solve_lp(lp: LinearProgram, mode: str = "exact") -> LpOutcome:
-    """Solve ``lp`` deterministically; see module docstring for guarantees.
+    """Solve ``lp`` deterministically, to ``OPTIMAL`` or ``INFEASIBLE`` (an
+    unbounded program raises ``RuntimeError``); see the module docstring.
 
-    A float-mode program the float kernel cannot settle (an optimum whose
-    certificate does not verify, or a column with no leaving row) is
-    transparently re-solved exactly and rounded; the rounded outcome keeps
-    the exact certificate, so float results are always certified too.
+    A float-mode program the float kernel cannot settle (a stall, or an
+    optimum whose certificate does not verify) is transparently re-solved
+    exactly and rounded; the rounded outcome keeps the exact certificate, so
+    float results are always certified too.
     """
     std = _standardize(lp, mode)
     res = _simplex_exact(std) if mode == "exact" else _simplex_float(std)
@@ -523,6 +511,7 @@ def solve_lp(lp: LinearProgram, mode: str = "exact") -> LpOutcome:
 
 
 def _float_via_exact(lp: LinearProgram, reason: str) -> LpOutcome:
+    """The exact solve of ``lp``: an optimum rounded to floats, or infeasible."""
     # imported here, on the rare fallback: the logging package costs about
     # 0.5 MB of resident memory and 6 ms of start-up in every process
     import logging

@@ -264,7 +264,7 @@ class _SupportSearch:
                 out = solve_lp(self._p1_lp(rows, csup, [self.u1[r][c] for r in rows]), self.mode)
                 self.stats.lps_solved += 1
                 if out.status != OPTIMAL:
-                    break  # the region is empty (it is bounded), whatever c is
+                    break  # infeasible: the region is empty, whatever c is
                 if cap is None or out.value > cap:
                     cap = out.value
             self._csup_cap[csup] = cap
@@ -310,8 +310,6 @@ class _SupportSearch:
             self.stats.lps_solved += 1
             if out.status == INFEASIBLE:
                 break  # P1 does not depend on the vertex
-            if out.status != OPTIMAL:
-                raise SolverFailure(f"support LP unexpectedly {out.status}")
             if self._improves(out.value):
                 zero = to_mode(0, self.mode)
                 sigma1 = [zero] * self.m

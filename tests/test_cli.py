@@ -31,7 +31,7 @@ from partialcommit.instances import (
     gen_random,
     nine_atom_profile,
 )
-from partialcommit.linprog import INFEASIBLE, UNBOUNDED, LpOutcome
+from partialcommit.linprog import INFEASIBLE, LpOutcome
 from partialcommit.solvers import solve_seslo
 
 
@@ -556,10 +556,10 @@ class TestSolverFailure:
         [
             pytest.param(solvers, INFEASIBLE, ["solve", "--concept", "seslo"],
                          "signal LP unexpectedly infeasible", id="seslo"),
-            pytest.param(solvers, UNBOUNDED, ["solve", "--concept", "selo", "--mode", "float"],
+            pytest.param(solvers, INFEASIBLE, ["solve", "--concept", "selo", "--mode", "float"],
                          "support search found no feasible profile", id="selo"),
-            pytest.param(deviations, UNBOUNDED, ["deviate", "--model", "no-reveal"],
-                         "deviation LP unexpectedly unbounded", id="deviate"),
+            pytest.param(deviations, INFEASIBLE, ["deviate", "--model", "no-reveal"],
+                         "deviation LP unexpectedly infeasible", id="deviate"),
         ],
     )
     def test_unexpected_lp_status(self, tmp_path, capsys, monkeypatch, module, status, argv,

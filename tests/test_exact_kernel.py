@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from test_deviations import retired_deviation_lp
 from test_solvers import _induce_column_lp, p1_lps
 
@@ -21,7 +22,6 @@ from partialcommit.linprog import (
     _MAX_PIVOTS,
     INFEASIBLE,
     OPTIMAL,
-    UNBOUNDED,
     LinearProgram,
     _simplex_exact,
     _standardize,
@@ -29,6 +29,8 @@ from partialcommit.linprog import (
     solve_lp,
 )
 from partialcommit.solvers import _seslo_lp, solve_seslo
+
+UNBOUNDED = "unbounded"  # the reference's verdict; the kernel raises instead
 
 
 def reference_simplex_exact(std):
@@ -127,9 +129,17 @@ def reference_simplex_exact(std):
 
 
 def _same_as_reference(lp: LinearProgram) -> dict:
+    """The kernel's result, asserted equal to the reference's; where the
+    reference finds the program unbounded, the kernel must raise, and the
+    reference's verdict is returned."""
     std = _standardize(lp, "exact")
+    want = reference_simplex_exact(std)
+    if want["status"] == UNBOUNDED:
+        with pytest.raises(RuntimeError, match="the program is unbounded"):
+            _simplex_exact(std)
+        return want
     got = _simplex_exact(std)
-    assert got == reference_simplex_exact(std)
+    assert got == want
     return got
 
 
@@ -210,7 +220,8 @@ def test_hand_built_lps_match_reference():
             5,
         ),
         # the second and third rows repeat the first: after phase 1 their
-        # artificials stay basic on all-zero rows and the rows are deleted
+        # artificials stay basic on all-zero rows, which stay in the tableau
+        # inert (the reference deletes them)
         "redundant_equalities": LinearProgram(
             (1, 2, 3),
             (((1, 1, 1), "=", 1), ((2, 2, 2), "=", 2), ((half, half, half), "=", half),

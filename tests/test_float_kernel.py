@@ -10,11 +10,13 @@ primal point, objective, basis and duals), and the checks the same verdicts.
 ``Fraction``s) is the replaced exact check, the oracle of the same routine
 in exact mode, where it allows no tolerance.
 Where the reference certifies an improving ray, the kernel instead leaves
-the program to exact mode (``_STALLED``), which decides unboundedness.  The
-kernel has also dropped the reference's end-of-run feasibility check: the
-certificate tests the same two things at ``FLOAT_TOL``, which is tighter, so
-an optimum that check rejects fails its certificate and is re-solved exactly
-all the same.  The check rejects no optimum of this corpus.
+the program to exact mode (``_STALLED``), which raises: a program must be
+bounded.  Rows the reference deletes as redundant stay in the kernel's
+tableau, inert, with dual 0.  The kernel has also dropped the reference's
+end-of-run feasibility check: the certificate tests the same two things at
+``FLOAT_TOL``, which is tighter, so an optimum that check rejects fails its
+certificate and is re-solved exactly all the same.  The check rejects no
+optimum of this corpus.
 """
 
 import dataclasses
@@ -22,6 +24,7 @@ import random
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 from test_deviations import retired_deviation_lp
 from test_solvers import p1_lps
 
@@ -35,7 +38,6 @@ from partialcommit.linprog import (
     _STALLED,
     INFEASIBLE,
     OPTIMAL,
-    UNBOUNDED,
     LinearProgram,
     _simplex_float,
     _standardize,
@@ -49,6 +51,8 @@ from partialcommit.solvers import (
     solve_seslo,
     solve_stackelberg,
 )
+
+UNBOUNDED = "unbounded"  # the reference's verdict; ``solve_lp`` raises instead
 
 
 def reference_simplex_float(std):
@@ -251,6 +255,8 @@ def _same_as_reference(lp: LinearProgram) -> dict:
     want = reference_simplex_float(std)
     if want["status"] == UNBOUNDED:
         want = {"status": _STALLED}
+        with pytest.raises(RuntimeError, match="the program is unbounded"):
+            solve_lp(lp, "float")
     assert _plain(got) == _plain(want)
     return got
 
@@ -344,8 +350,10 @@ def test_kernel_matches_reference(monkeypatch):
     assert {OPTIMAL, INFEASIBLE, _STALLED} <= set(statuses)
     # the programs the kernel leaves to exact mode include unbounded ones
     left = [lp for lp, res in zip(corpus, results) if res["status"] is _STALLED]
-    assert UNBOUNDED in {solve_lp(lp, "float").status for lp in left}
-    # rows whose artificials stay basic on all-zero rows are deleted
+    assert UNBOUNDED in {reference_simplex_float(_standardize(lp, "float"))["status"]
+                         for lp in left}
+    # rows whose artificials stay basic on all-zero rows stay in the tableau,
+    # out of the basis list
     assert any(
         res["status"] == OPTIMAL and len(res["basis"]) < len(res["duals"]) for res in results
     )
@@ -363,8 +371,11 @@ def test_hand_built_lps_match_reference():
     ]
     statuses = [_same_as_reference(lp)["status"] for lp in cases]
     assert statuses == [OPTIMAL, OPTIMAL, INFEASIBLE, _STALLED, _STALLED, _STALLED]
-    statuses = [solve_lp(lp, "float").status for lp in cases]
-    assert statuses == [OPTIMAL, OPTIMAL, INFEASIBLE, UNBOUNDED, UNBOUNDED, UNBOUNDED]
+    statuses = [solve_lp(lp, "float").status for lp in cases[:3]]
+    assert statuses == [OPTIMAL, OPTIMAL, INFEASIBLE]
+    for lp in cases[3:]:
+        with pytest.raises(RuntimeError, match="the program is unbounded"):
+            solve_lp(lp, "float")
 
 
 def _certificates(monkeypatch):

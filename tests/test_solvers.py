@@ -7,7 +7,8 @@ import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.optimize import linprog as scipy_linprog
 
-from partialcommit import experiment, solvers
+from partialcommit import deviations, experiment, solvers
+from partialcommit.deviations import SignalModel, find_deviation
 from partialcommit.errors import ScaleGuardExceeded
 from partialcommit.games import (
     FLOAT_TOL,
@@ -404,6 +405,43 @@ class TestCrossConceptInvariants:
         game = gen_example(EXAMPLE_4X2)
         report = solve_selo(game)
         assert expected_utilities(game, report.witness)[0] == report.value
+
+
+class TestBoundedPrograms:
+    """Every LP the package builds is bounded by construction, which is what
+    lets the simplex kernels answer only optimal or infeasible."""
+
+    @staticmethod
+    def _bounded_by_construction(lp: LinearProgram) -> bool:
+        # each variable has a positive coefficient in an "=" row whose
+        # coefficients are all >= 0 and whose right-hand side is > 0
+        covered = set()
+        for coefs, rel, rhs in lp.constraints:
+            if rel == "=" and rhs > 0 and all(a >= 0 for a in coefs):
+                covered |= {j for j, a in enumerate(coefs) if a > 0}
+        return covered == set(range(lp.num_vars))
+
+    def test_every_solver_and_deviation_lp(self, monkeypatch):
+        seen = []
+
+        def record(lp, mode="exact"):
+            seen.append(lp)
+            return solve_lp(lp, mode)
+
+        monkeypatch.setattr(solvers, "solve_lp", record)
+        monkeypatch.setattr(deviations, "solve_lp", record)
+        games = [gen_example(name) for name in (EXAMPLE_4X2, SHAPLEY, SIGNALING_5X4, WEAKSIG_6X4)]
+        games += [gen_random(4, 3, 2, seed) for seed in range(4)]
+        for game in games:
+            for mode in ("exact", "float"):
+                for solve in (solve_seslo, solve_max_ce, solve_stackelberg, solve_selo,
+                              solve_best_nash):
+                    solve(game, mode)
+                witness = solve_seslo(game, mode).witness
+                for model in SignalModel:
+                    find_deviation(game, witness, model, mode)
+        assert len(seen) > 400
+        assert all(self._bounded_by_construction(lp) for lp in seen)
 
 
 class TestSeloAtFiveByFive:
