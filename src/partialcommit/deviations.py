@@ -40,6 +40,7 @@ from .games import (
     conditional_sis_given_column,
     correlated_utilities,
     to_mode,
+    tolerance,
 )
 from .linprog import OPTIMAL, LinearProgram, solve_lp
 
@@ -99,10 +100,6 @@ class VerifyReport:
     row_witness: object = None  # (r, r') pair or a DeviationPlan
 
 
-def _tol(mode: str) -> Number:
-    return 0 if mode == "exact" else FLOAT_TOL
-
-
 def _best_row(cell, score, r: int) -> int:
     """Row that recommended row ``r`` of ``cell`` moves to: the row of the
     cell with the largest ``score`` (lowest index on ties) when it is
@@ -156,10 +153,12 @@ def plan_is_undetectable(
     """Would the column player's long-run observations look unchanged?
 
     Checks that the per-column-signal distribution over cells is preserved
-    for every column with positive marginal; under ``PUBLIC_REVEAL`` the
-    plan must additionally stay inside each recommendation's cell.
+    for every column whose marginal is above the mode's tolerance, the
+    columns the no-reveal LP constrains (in float mode a column whose mass
+    is rounding noise has no distribution to keep); under ``PUBLIC_REVEAL``
+    the plan must additionally stay inside each recommendation's cell.
     """
-    tol = _tol(mode)
+    tol = tolerance(mode)
     prof = profile.in_mode(mode)
     if plan.model is SignalModel.PUBLIC_REVEAL:
         for r in range(game.num_rows):
@@ -169,9 +168,9 @@ def plan_is_undetectable(
                     return False
     deviated = apply_plan(prof, plan, mode)
     for c in range(game.num_cols):
-        before = conditional_sis_given_column(prof, game.partition, c)
-        if before is None:
+        if prof.column_marginal(c) <= tol:
             continue
+        before = conditional_sis_given_column(prof, game.partition, c)
         after = conditional_sis_given_column(deviated, game.partition, c)
         if after is None:
             return False
@@ -198,7 +197,7 @@ def verify_mixed(game: Game, profile: MixedProfile, mode: str = "exact") -> Veri
     prof = profile.in_mode(mode)
     s1, s2 = prof.sigma1, prof.sigma2
     m, n = game.num_rows, game.num_cols
-    tol = _tol(mode)
+    tol = tolerance(mode)
 
     col_payoff = [sum(s1[r] * u2[r][c] for r in range(m)) for c in range(n)]
     played = sum(s2[c] * col_payoff[c] for c in range(n))
@@ -248,7 +247,7 @@ def verify_correlated(game: Game, profile: CorrelatedProfile, mode: str = "exact
     u1, u2 = game.payoffs_in_mode(mode)
     p = profile.in_mode(mode).p
     m, n = game.num_rows, game.num_cols
-    tol = _tol(mode)
+    tol = tolerance(mode)
 
     col_gain = to_mode(0, mode)
     col_witness = None
@@ -330,7 +329,7 @@ def _no_reveal_plan(u1, p, partition, mode: str) -> tuple[tuple, Number]:
     ]
     # preserve the observed cell distribution given each sent column signal
     for c in range(n):
-        if sum(p[r][c] for r in range(m)) <= _tol(mode):
+        if sum(p[r][c] for r in range(m)) <= tolerance(mode):
             continue
         for cell in partition.cells:
             row = tuple(p[r][c] if r2 in cell else zero for r in range(m) for r2 in range(m))

@@ -36,6 +36,12 @@ Number = Fraction | int | float
 FLOAT_TOL = 1e-9
 
 
+def tolerance(mode: str) -> Number:
+    """Tolerance of a zero test in ``mode``: none in exact mode,
+    ``FLOAT_TOL`` in float mode."""
+    return 0 if mode == "exact" else FLOAT_TOL
+
+
 # ---------------------------------------------------------------------------
 # number parsing / formatting
 

@@ -56,7 +56,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonFiniteNumber
-from .games import FLOAT_TOL, Number, to_mode
+from .games import FLOAT_TOL, Number, tolerance, to_mode
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -146,10 +146,8 @@ class _Certificate:
         on ``dtype=object`` arrays of the solve's ints and ``Fraction``s."""
         a, b, c, x, y = self.matrix, self.rhs, self.cost, self.x_std, self.duals
         art = self.artificials
-        if self.mode == "float":
-            tol = FLOAT_TOL
-        else:
-            tol = 0
+        tol = tolerance(self.mode)
+        if self.mode == "exact":
             b, c, x, y = (np.array(v, dtype=object) for v in (b, c, x, y))
             a = np.array(a, dtype=object).reshape(len(b), len(c))
         # a point the verifiers would reject (they allow FLOAT_TOL) must not
@@ -572,7 +570,7 @@ def enumerate_vertices(poly: Polytope, mode: str = "exact") -> list[tuple]:
     kept when new and within every row.  Intended for desk-scale dimensions.
     """
     dim = poly.num_vars
-    tol = 0 if mode == "exact" else FLOAT_TOL
+    tol = tolerance(mode)
     zero, one = to_mode(0, mode), to_mode(1, mode)
     rows = [([to_mode(a, mode) for a in coefs], rel, to_mode(rhs, mode))
             for coefs, rel, rhs in poly.constraints]

@@ -3,8 +3,9 @@
 Two engines carry all five concepts; the other three are their partition
 special cases (singleton cells: everything observable; one cell: nothing).
 
-* ``solve_seslo``: one LP over joint recommendation distributions — the
-  row-deviation constraints only range over each indistinguishability cell.
+* ``solve_seslo``: one LP over joint recommendation distributions, the
+  support search's tie rule (``_tie_rows``) applied to each recommendation,
+  so a recommended row need only be a best response within its cell.
 * ``solve_selo``: exact support enumeration.  For every support pair (rows
   R_sup, columns C_sup) the feasible profiles form a product of two
   polytopes, P1 (row mixtures keeping every supported column a best
@@ -49,13 +50,13 @@ from itertools import combinations
 from .deviations import verify_correlated, verify_mixed
 from .errors import ScaleGuardExceeded, SolverFailure
 from .games import (
-    FLOAT_TOL,
     CorrelatedProfile,
     Game,
     MixedProfile,
     Number,
     SISPartition,
     to_mode,
+    tolerance,
 )
 from .linprog import (
     INFEASIBLE,
@@ -98,29 +99,21 @@ class SolveReport:
 
 
 def _seslo_lp(u1, u2, partition: SISPartition, m: int, n: int) -> LinearProgram:
+    """The signal LP over joint distributions ``p[r][c]`` (variable
+    ``r * n + c``): the support search's tie rule applied to each
+    recommendation.  Row ``r`` is a best response within its cell against
+    ``p[r][·]`` and column ``c`` a best response against ``p[·][c]``."""
     nv = m * n
-
-    def var(r, c):
-        return r * n + c
-
+    u2t = tuple(zip(*u2))
+    blocks = [(u1, range(n), (r,), (cell,), slice(r * n, (r + 1) * n))
+              for cell in partition.cells for r in cell]
+    blocks += [(u2t, range(m), (c,), (range(n),), slice(c, nv, n)) for c in range(n)]
     cons = []
-    for cell in partition.cells:
-        for r in cell:
-            for r2 in cell:
-                if r2 == r:
-                    continue
-                row = [0] * nv
-                for c in range(n):
-                    row[var(r, c)] = u1[r2][c] - u1[r][c]
-                cons.append((tuple(row), "<=", 0))
-    for c in range(n):
-        for c2 in range(n):
-            if c2 == c:
-                continue
+    for pay, over, sup, cells, place in blocks:
+        for coefs, rel, rhs in _tie_rows(pay, over, sup, cells):
             row = [0] * nv
-            for r in range(m):
-                row[var(r, c)] = u2[r][c2] - u2[r][c]
-            cons.append((tuple(row), "<=", 0))
+            row[place] = coefs
+            cons.append((tuple(row), rel, rhs))
     cons.append((tuple([1] * nv), "=", 1))
     obj = tuple(u1[r][c] for r in range(m) for c in range(n))
     return LinearProgram(obj, tuple(cons), nv)
@@ -202,26 +195,22 @@ def _support_pairs(m: int, n: int):
                     yield rsup, csup
 
 
-def _tie_rows(pay, over, sup, cells) -> tuple:
+def _tie_rows(pay, over, sup, cells) -> list:
     """Rows of the mixtures over ``over`` under which every response in
     ``sup`` is a best response within its cell, ``pay[a][j]`` being the
     payoff of response ``a`` against pure action ``j``.  The supported
     responses of a cell tie: each one after the cell's first supported
     response ``a0`` gives an ``=`` row against ``a0``, and each unsupported
-    response of the cell a ``<=`` row against ``a0``.  Then ``Σ = 1``."""
+    response of the cell a ``<=`` row against ``a0``."""
     sset = set(sup)
     rows = []
     for cell in cells:
         tied = [a for a in cell if a in sset]
-        if not tied:
-            continue
-        a0 = tied[0]
         for a in cell:
-            if a != a0:
-                coefs = tuple(pay[a][j] - pay[a0][j] for j in over)
-                rows.append((coefs, "=" if a in sset else "<=", 0))
-    rows.append((tuple([1] * len(over)), "=", 1))
-    return tuple(rows)
+            if tied and a != tied[0]:
+                pa, p0 = pay[a], pay[tied[0]]
+                rows.append((tuple([pa[j] - p0[j] for j in over]), "=" if a in sset else "<=", 0))
+    return rows
 
 
 class _SupportSearch:
@@ -245,13 +234,15 @@ class _SupportSearch:
         """Row mixtures over rsup under which every csup column is a best
         response, maximizing ``objective``."""
         rows = _tie_rows(self.u2t, rsup, csup, (range(self.n),))
-        return LinearProgram(tuple(objective), rows, len(rsup))
+        rows.append((tuple([1] * len(rsup)), "=", 1))
+        return LinearProgram(tuple(objective), tuple(rows), len(rsup))
 
     def _p2_polytope(self, rsup, csup) -> Polytope:
         """Column mixtures over csup under which every supported row is a
         best response within its cell."""
         rows = _tie_rows(self.u1, csup, rsup, self.game.partition.cells)
-        return Polytope(num_vars=len(csup), constraints=rows)
+        rows.append((tuple([1] * len(csup)), "=", 1))
+        return Polytope(num_vars=len(csup), constraints=tuple(rows))
 
     def csup_cap(self, csup):
         """Best row payoff in any csup column over mixtures (on all rows)
@@ -278,8 +269,7 @@ class _SupportSearch:
         witness and the pruned search agrees with the unpruned one."""
         if self.best is None:
             return True
-        tol = 0 if self.mode == "exact" else FLOAT_TOL * (1 + abs(self.best))
-        return value - self.best > tol
+        return value - self.best > tolerance(self.mode) * (1 + abs(self.best))
 
     def run(self):
         for rsup, csup in _support_pairs(self.m, self.n):

@@ -346,6 +346,19 @@ class TestFindDeviation:
                 after = conditional_sis_given_column(deviated, game.partition, c)
                 assert after == before
 
+    @pytest.mark.parametrize("seed", [4, 22])
+    def test_float_no_reveal_plan_ignores_rounding_noise_columns(self, seed):
+        # the float SESLO witness puts ~1e-16 on a column the no-reveal LP
+        # leaves free; conditioning on that noise called the plan detectable
+        rounded = gen_random(4, 3, 2, seed)
+        u1, u2 = ([[F(x).limit_denominator(100) for x in row] for row in u]
+                  for u in (rounded.u1, rounded.u2))
+        game = Game(u1, u2, rounded.partition)
+        prof = solve_seslo(game, "float").witness
+        plan = find_deviation(game, prof, SignalModel.NO_REVEAL, "float")
+        assert plan_is_undetectable(game, prof, plan, "float")
+        assert abs(plan_gain(game, prof, plan, "float") - plan.gain) <= 1e-9
+
     def test_plan_row_sums_validated(self):
         with pytest.raises(Exception):
             DeviationPlan(SignalModel.NO_REVEAL, [[F(1, 2), 0], [0, 1]], 0)

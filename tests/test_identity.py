@@ -47,6 +47,7 @@ def test_self_diff_is_empty_and_changes_are_counted(tmp_path, capsys):
     run = tool.solve_records(name, game)
     with_cli = {**run, **tool.cli_records(str(tmp_path))}
     assert len(with_cli) == len(run) + 28
+    assert [rec["verdict"] for rec in run.values() if rec["kind"].startswith("deviate")] == [True] * 6
 
     status, lines = _diff(tool, tmp_path, with_cli, with_cli, capsys)
     assert status == 0

@@ -12,6 +12,7 @@ from partialcommit.deviations import SignalModel, find_deviation
 from partialcommit.errors import ScaleGuardExceeded
 from partialcommit.games import (
     FLOAT_TOL,
+    CorrelatedProfile,
     Game,
     MixedProfile,
     SISPartition,
@@ -220,6 +221,36 @@ class TestSeslo:
         oracle = scipy_max_ce_value(game)
         assert abs(float(report.value) - oracle) < 1e-9
         assert report.value == F(1, 2)  # the cyclic-win distribution is optimal
+
+    def test_lp_rows_are_the_verifier_tests(self):
+        # the signal LP's "<=" rows at p are verify_correlated's tests, so a
+        # block of tie rows placed on the wrong variables changes some gain
+        rng = random.Random(28)
+        games = [gen_example(name) for name in (EXAMPLE_4X2, SHAPLEY, SIGNALING_5X4, WEAKSIG_6X4)]
+        for _ in range(20):
+            u1, u2 = ([[F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3)]
+                       for _ in range(4)] for _ in range(2))
+            games.append(Game(u1, u2, SISPartition.round_robin(4, rng.randint(1, 4))))
+        checks = 0
+        for game in games:
+            m, n = game.num_rows, game.num_cols
+            for partition in (game.partition, SISPartition.one_cell(m), SISPartition.singletons(m)):
+                u1, u2 = game.payoffs_in_mode("exact")
+                lp = solvers._seslo_lp(u1, u2, partition, m, n)
+                tests = [coefs for coefs, rel, _ in lp.constraints if rel == "<="]
+                for _ in range(5):
+                    weights = [[rng.choice([0, 0, 1, 2, 3]) for _ in range(n)] for _ in range(m)]
+                    weights[rng.randrange(m)][rng.randrange(n)] += 1
+                    total = sum(map(sum, weights))
+                    p = CorrelatedProfile([[F(w, total) for w in row] for row in weights])
+                    x = [p.p[r][c] for r in range(m) for c in range(n)]
+                    values = [sum(a * v for a, v in zip(coefs, x)) for coefs in tests]
+                    report = deviations.verify_correlated(game.with_partition(partition), p)
+                    gain = max(report.max_column_gain, report.max_row_gain)
+                    assert max([0, *values]) == gain, (game, partition, p)
+                    assert report.passed == all(v <= 0 for v in values)
+                    checks += 1
+        assert checks == 360
 
 
 class TestSelo:

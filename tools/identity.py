@@ -13,9 +13,10 @@ solved for all five concepts in both modes; each witness is checked again by
 the verifier the CLI ``verify`` command runs; the SESLO witness is searched
 for deviations under all three signal models; and a few CLI calls run
 in-process.  A record holds the value repr, the witness repr, the LPs solved,
-the supports examined and the verifier verdict (none for a deviation plan,
-which no verifier checks); a CLI record holds the sha256 of its stdout and,
-as its verdict, whether it exited 0.
+the supports examined and the verifier verdict; a deviation plan's verdict is
+``plan_is_undetectable`` together with ``plan_gain`` equal to the plan's gain
+(exactly in exact mode, within ``1e-9·(1+|g|)`` in float mode).  A CLI record
+holds the sha256 of its stdout and, as its verdict, whether it exited 0.
 
 ``--diff`` prints, by concept and mode, how many values, witnesses, stats
 (LPs or supports) and verdicts moved and the largest float difference, after
@@ -42,10 +43,12 @@ from partialcommit import cli  # noqa: E402
 from partialcommit.deviations import (  # noqa: E402
     SignalModel,
     find_deviation,
+    plan_gain,
+    plan_is_undetectable,
     verify_correlated,
     verify_mixed,
 )
-from partialcommit.games import Game, SISPartition, save_game, save_profile  # noqa: E402
+from partialcommit.games import FLOAT_TOL, Game, SISPartition, save_game, save_profile  # noqa: E402
 from partialcommit.instances import (  # noqa: E402
     EXAMPLE_4X2,
     EXAMPLE_NAMES,
@@ -117,6 +120,13 @@ def _record(kind, game, mode, value=None, witness=None, lps=None, supports=None,
     }
 
 
+def _plan_holds(game: Game, profile, plan, mode: str) -> bool:
+    """A deviation plan's verdict: undetectable, and worth its stated gain."""
+    slack = 0 if mode == "exact" else FLOAT_TOL * (1 + abs(plan.gain))
+    return (plan_is_undetectable(game, profile, plan, mode)
+            and abs(plan_gain(game, profile, plan, mode) - plan.gain) <= slack)
+
+
 def solve_records(name: str, game: Game) -> dict:
     out = {}
     for mode in MODES:
@@ -144,6 +154,7 @@ def solve_records(name: str, game: Game) -> dict:
             plan = find_deviation(game, seslo_witness, model, mode)
             out[f"{name}|deviate {model.value}|{mode}"] = _record(
                 f"deviate {model.value}", name, mode, plan.gain, plan.delta,
+                verdict=_plan_holds(game, seslo_witness, plan, mode),
             )
     return out
 
