@@ -327,13 +327,15 @@ def _no_reveal_plan(u1, p, partition, mode: str) -> tuple[tuple, Number]:
         (tuple(one if r3 == r else zero for r3 in range(m) for _ in range(m)), "=", 1)
         for r in range(m)
     ]
-    # preserve the observed cell distribution given each sent column signal
+    # preserve the observed cell distribution given each sent column signal:
+    # mass moved into the cell minus mass recommended in it, so the identity
+    # plan meets the row exactly even when the cell's float mass is rounded
     for c in range(n):
         if sum(p[r][c] for r in range(m)) <= tolerance(mode):
             continue
         for cell in partition.cells:
-            row = tuple(p[r][c] if r2 in cell else zero for r in range(m) for r2 in range(m))
-            constraints.append((row, "=", sum(p[r][c] for r in cell)))
+            row = tuple(p[r][c] * ((r2 in cell) - (r in cell)) for r in range(m) for r2 in range(m))
+            constraints.append((row, "=", 0))
     out = solve_lp(LinearProgram(objective, tuple(constraints), m * m), mode)
     if out.status != OPTIMAL:
         raise SolverFailure(f"deviation LP unexpectedly {out.status}")

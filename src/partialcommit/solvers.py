@@ -27,16 +27,18 @@ float mode a later optimum replaces the best only when it is larger by more
 than rounding (``FLOAT_TOL``, relative).  The search skips a pair only when
 a proven upper bound for it cannot beat the best value already found:
 
-* the rectangle bound, the largest row payoff on rows R_sup x columns C_sup;
-* the column-set caps, the best row payoff in a column over row mixtures
-  (on all rows) keeping that column, and then all of C_sup, best responses;
-  cached per column set, and an empty set of such mixtures empties the pair;
+* the per-column bound, max over c in C_sup of min(cap((c,)), the largest
+  row payoff on rows R_sup in column c), cap being the next bullet's;
+* the column-set cap ``cap(C_sup)``, one LP: the best of
+  Σ_r x_r·max_{c∈C_sup} u1[r][c] over row mixtures x (on all rows) keeping
+  all of C_sup best responses, cached; None, emptying the pair, if no x is;
 * the Stackelberg ceiling, the largest single-column cap (the multiple-LPs
   method of Conitzer & Sandholm, EC 2006): a SELO value
   Σ_c y_c·(x·u1[:,c]) is at most cap((c,)) for some supported c, so no
   later pair's value exceeds the ceiling, and the search stops once the
   ceiling itself could not replace the best value.
 
+Both pair bounds hold since a profile's row part lies in P1(all rows, C_sup).
 So the pruned search reports the value and witness of the unpruned one, in
 both modes; ``tests/test_solvers.py`` keeps the unpruned search as its
 oracle.
@@ -245,20 +247,15 @@ class _SupportSearch:
         return Polytope(num_vars=len(csup), constraints=tuple(rows))
 
     def csup_cap(self, csup):
-        """Best row payoff in any csup column over mixtures (on all rows)
-        keeping all of csup simultaneously best responses; None when that
-        set is empty."""
+        """Best of Σ_r x_r·max_{c∈csup} u1[r][c] over mixtures x (on all rows)
+        keeping all of csup best responses, from one LP (for one column, the
+        best row payoff in it); None when that set is empty."""
         if csup not in self._csup_cap:
-            rows = tuple(range(self.m))
-            cap = None
-            for c in csup:
-                out = solve_lp(self._p1_lp(rows, csup, [self.u1[r][c] for r in rows]), self.mode)
-                self.stats.lps_solved += 1
-                if out.status != OPTIMAL:
-                    break  # infeasible: the region is empty, whatever c is
-                if cap is None or out.value > cap:
-                    cap = out.value
-            self._csup_cap[csup] = cap
+            rows = range(self.m)
+            weights = [max(self.u1[r][c] for c in csup) for r in rows]
+            out = solve_lp(self._p1_lp(rows, csup, weights), self.mode)
+            self.stats.lps_solved += 1
+            self._csup_cap[csup] = out.value if out.status == OPTIMAL else None
         return self._csup_cap[csup]
 
     # -- main loop ----------------------------------------------------------
@@ -283,12 +280,11 @@ class _SupportSearch:
     def _handle_pair(self, rsup, csup) -> bool:
         """Evaluate one support pair; returns True to stop the whole search."""
         best = self.best
-        if best is not None and max(self.u1[r][c] for r in rsup for c in csup) <= best:
-            return False
-        # a column that is never a best response on its own empties the pair
-        if any(self.csup_cap((c,)) is None for c in csup):
-            return False
-        if best is not None and max(self.csup_cap((c,)) for c in csup) <= best:
+        caps = [self.csup_cap((c,)) for c in csup]
+        if None in caps:
+            return False  # a column that is never a best response empties the pair
+        bound = max(min(cap, max(self.u1[r][c] for r in rsup)) for cap, c in zip(caps, csup))
+        if best is not None and bound <= best:
             return False
         cap = self.csup_cap(csup)
         if cap is None or (best is not None and cap <= best):

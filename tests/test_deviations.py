@@ -359,6 +359,18 @@ class TestFindDeviation:
         assert plan_is_undetectable(game, prof, plan, "float")
         assert abs(plan_gain(game, prof, plan, "float") - plan.gain) <= 1e-9
 
+    def test_float_no_reveal_identity_plan_meets_rounded_cell_masses(self):
+        # at payoffs x1e8 the float LP falls back to exact, where a cell-mass
+        # row with a rounded float sum as its right-hand side excluded even
+        # the identity plan and the LP came back infeasible
+        base = gen_random(5, 5, 2, 30)
+        u1, u2 = ([[x * 1e8 for x in row] for row in u] for u in (base.u1, base.u2))
+        game = Game(u1, u2, base.partition)
+        prof = solve_seslo(game, "float").witness
+        plan = find_deviation(game, prof, SignalModel.NO_REVEAL, "float")
+        assert plan_is_undetectable(game, prof, plan, "float")
+        assert abs(plan_gain(game, prof, plan, "float") - plan.gain) <= 1e-9 * 1e8
+
     def test_plan_row_sums_validated(self):
         with pytest.raises(Exception):
             DeviationPlan(SignalModel.NO_REVEAL, [[F(1, 2), 0], [0, 1]], 0)

@@ -41,6 +41,17 @@ def _row(lines, kind, mode):
     raise AssertionError(f"no row for {kind} {mode}")
 
 
+def _totals(lines, kind, mode):
+    """The stat totals row of one concept: LPs before, after, supports
+    before, after, and the records with more LPs."""
+    start = next(i for i, line in enumerate(lines) if line.startswith("stat totals"))
+    for line in lines[start:]:
+        words = line.split()
+        if words[:2] == [kind, mode]:
+            return [int(x) for x in words[2:] if x != "->"]
+    raise AssertionError(f"no totals for {kind} {mode}")
+
+
 def test_self_diff_is_empty_and_changes_are_counted(tmp_path, capsys):
     tool = _load_tool()
     name, game = tool.corpus(1)[0]
@@ -55,6 +66,9 @@ def test_self_diff_is_empty_and_changes_are_counted(tmp_path, capsys):
     assert _row(lines, "SESLO", "exact") == [1, 0, 0, 0, 0]
     assert _row(lines, "cli", "float") == [10, 0, 0, 0, 0]
     assert lines[-1] == f"identity: {len(with_cli)} records compared, 0 missing, 0 failed verdicts"
+    selo = run[f"{name}|SELO|float"]
+    lps, supports = selo["lps"], selo["supports"]
+    assert _totals(lines, "SELO", "float") == [lps, lps, supports, supports, 0]
 
     doctored = copy.deepcopy(run)
     key = f"{name}|SELO|exact"
@@ -62,8 +76,14 @@ def test_self_diff_is_empty_and_changes_are_counted(tmp_path, capsys):
     doctored[key]["supports"] += 1
     doctored[f"{name}|SESLO|float"]["value_float"] += 1e-6
     doctored[f"{name}|SESLO|float"]["value"] = "0.123"
+    doctored[f"{name}|SELO|float"]["lps"] += 2
     status, lines = _diff(tool, tmp_path, run, doctored, capsys)
     assert status == 0
+    assert _row(lines, "SELO", "float") == [1, 0, 0, 1, 0]
+    assert _totals(lines, "SELO", "float") == [lps, lps + 2, supports, supports, 1]
+    exact = run[key]
+    assert _totals(lines, "SELO", "exact") == [exact["lps"], exact["lps"],
+                                               exact["supports"], exact["supports"] + 1, 0]
     assert lines[1].startswith(f"  {key}: ") and lines[1].endswith(" -> Fraction(7, 1)")
     assert _row(lines, "SELO", "exact") == [1, 1, 0, 1, 0]
     assert _row(lines, "SESLO", "float") == [1, 1, 0, 0, 0]

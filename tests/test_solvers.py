@@ -21,6 +21,7 @@ from partialcommit.games import (
 )
 from partialcommit.instances import (
     EXAMPLE_4X2,
+    EXAMPLE_NAMES,
     SHAPLEY,
     SIGNALING_5X4,
     WEAKSIG_6X4,
@@ -501,27 +502,35 @@ class TestSeloAtFiveByFive:
             assert values[0] <= values[1] + 1e-9 and values[1] <= values[2] + 1e-9, seed
 
 
-def unpruned_search(game, mode):
-    """The support search with no pruning, kept as the oracle of the pruned
-    one: every support pair in the search's order, every vertex of its P2,
-    one P1 LP per vertex, and the first optimum kept (in float mode a later
-    one must be larger by more than ``FLOAT_TOL``, relative).  The rows come
+def pair_optima(game, mode, rsup, csup):
+    """(P1 outcome, vertex) for each vertex of the pair's P2 in
+    ``enumerate_vertices`` order, one P1 LP per vertex, stopping at the
+    first infeasible P1 (P1 does not depend on the vertex).  The rows come
     from the test-owned ``tie_rows``, which states the solver's tie rule in
     the same arithmetic, so float optima are bit-comparable;
     ``TestP2Polytope`` checks the solver's rows against the pairwise form."""
     u1, u2 = game.payoffs_in_mode(mode)
     pay2 = list(zip(*u2))  # column c's payoff against row r is pay2[c][r]
+    p1_rows = tie_rows(pay2, rsup, csup, (range(game.num_cols),))
+    p2 = Polytope(len(csup), tie_rows(u1, csup, rsup, game.partition.cells))
+    for vert in enumerate_vertices(p2, mode):
+        weights = [sum(u1[r][c] * y for c, y in zip(csup, vert)) for r in rsup]
+        out = solve_lp(LinearProgram(tuple(weights), p1_rows, len(rsup)), mode)
+        if out.status == INFEASIBLE:
+            return
+        assert out.status == OPTIMAL
+        yield out, vert
+
+
+def unpruned_search(game, mode):
+    """The support search with no pruning, kept as the oracle of the pruned
+    one: every support pair in the search's order, every vertex of its P2,
+    one P1 LP per vertex, and the first optimum kept (in float mode a later
+    one must be larger by more than ``FLOAT_TOL``, relative)."""
     m, n = game.num_rows, game.num_cols
-    cells = game.partition.cells
     best = witness = None
     for rsup, csup in solvers._support_pairs(m, n):
-        p1_rows = tie_rows(pay2, rsup, csup, (range(n),))
-        for vert in enumerate_vertices(Polytope(len(csup), tie_rows(u1, csup, rsup, cells)), mode):
-            weights = [sum(u1[r][c] * y for c, y in zip(csup, vert)) for r in rsup]
-            out = solve_lp(LinearProgram(tuple(weights), p1_rows, len(rsup)), mode)
-            if out.status == INFEASIBLE:
-                break
-            assert out.status == OPTIMAL
+        for out, vert in pair_optima(game, mode, rsup, csup):
             tol = 0 if mode == "exact" or best is None else FLOAT_TOL * (1 + abs(best))
             if best is None or out.value - best > tol:
                 sigma1, sigma2 = [0] * m, [0] * n
@@ -550,6 +559,60 @@ class TestPruningSoundness:
                 case = (trial, mode)
                 assert v1 == v2, case
                 assert (w1.sigma1, w1.sigma2) == (w2.sigma1, w2.sigma2), case
+
+
+def _bound_games():
+    """The examples under their own, one-cell and singleton partitions, and
+    20 small-integer games (many ties, so many pairs sit on a bound)."""
+    for name in EXAMPLE_NAMES:
+        game = gen_example(name)
+        m = game.num_rows
+        yield game
+        yield game.with_partition(SISPartition.one_cell(m))
+        yield game.with_partition(SISPartition.singletons(m))
+    rng = random.Random(2929)
+    for _ in range(20):
+        m, n = rng.choice([(3, 3), (4, 3), (3, 4), (4, 2)])
+        u1 = [[F(rng.randint(0, 3)) for _ in range(n)] for _ in range(m)]
+        u2 = [[F(rng.randint(0, 3)) for _ in range(n)] for _ in range(m)]
+        yield Game(u1, u2, SISPartition.round_robin(m, rng.randint(1, m)))
+
+
+class TestPruningBounds:
+    """Each bound the search prunes a support pair (R, C) on holds for that
+    pair's optimum, computed with no bound at all: the column-set cap
+    ``csup_cap(C)`` and the per-column bound
+    max_{c∈C} min(csup_cap((c,)), max_{r∈R} u1[r][c])."""
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_every_pair_optimum_is_within_both_bounds(self, mode):
+        for g, game in enumerate(_bound_games()):
+            search = solvers._SupportSearch(game, mode)
+            u1 = search.u1
+            for rsup, csup in solvers._support_pairs(game.num_rows, game.num_cols):
+                case = (g, mode, rsup, csup)
+                values = [out.value for out, _ in pair_optima(game, mode, rsup, csup)]
+                caps = [search.csup_cap((c,)) for c in csup]
+                if None in caps or search.csup_cap(csup) is None:
+                    assert values == [], case  # an empty cap region: no profile
+                    continue
+                if not values:
+                    continue
+                best = max(values)
+                slack = 0 if mode == "exact" else FLOAT_TOL * (1 + abs(best))
+                assert best <= search.csup_cap(csup) + slack, case
+                bound = max(min(cap, max(u1[r][c] for r in rsup)) for cap, c in zip(caps, csup))
+                assert best <= bound + slack, case
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_a_column_set_cap_is_one_lp(self, mode):
+        search = solvers._SupportSearch(gen_example(WEAKSIG_6X4), mode)
+        for csup in [(0, 1), (1, 2, 3), (0, 1, 2, 3)]:
+            before = search.stats.lps_solved
+            search.csup_cap(csup)
+            assert search.stats.lps_solved == before + 1, csup
+            search.csup_cap(csup)
+            assert search.stats.lps_solved == before + 1, csup
 
 
 class TestX3CEquivalenceSmall:

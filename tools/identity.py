@@ -20,8 +20,10 @@ holds the sha256 of its stdout and, as its verdict, whether it exited 0.
 
 ``--diff`` prints, by concept and mode, how many values, witnesses, stats
 (LPs or supports) and verdicts moved and the largest float difference, after
-listing every moved exact value.  It exits 1 when a record of the second run
-has a failing verdict or a record is missing from either run.
+listing every moved exact value; then, for each solver concept and mode, the
+summed LPs and supports of both runs and how many records solved more LPs.
+It exits 1 when a record of the second run has a failing verdict or a record
+is missing from either run.
 """
 
 from __future__ import annotations
@@ -198,6 +200,7 @@ def run(random_seeds: int = 25) -> dict:
 def diff(a: dict, b: dict) -> tuple[list[str], int]:
     """Report lines and the exit status for runs ``a`` and ``b``."""
     rows: dict[tuple[str, str], list] = {}
+    totals: dict[tuple[str, str], list] = {}
     moved_exact = []
     for key in sorted(a.keys() & b.keys()):
         ra, rb = a[key], b[key]
@@ -212,12 +215,24 @@ def diff(a: dict, b: dict) -> tuple[list[str], int]:
         row[4] += ra["verdict"] != rb["verdict"]
         if rb["mode"] == "float" and ra["value_float"] is not None:
             row[5] = max(row[5], abs(ra["value_float"] - rb["value_float"]))
+        if ra["lps"] is not None and rb["lps"] is not None:
+            total = totals.setdefault((rb["kind"], rb["mode"]), [0, 0, 0, 0, 0])
+            total[0] += ra["lps"]
+            total[1] += rb["lps"]
+            total[2] += ra["supports"]
+            total[3] += rb["supports"]
+            total[4] += rb["lps"] > ra["lps"]
     lines = ["moved exact values:", *(moved_exact or ["  none"])]
     lines.append(f"{'concept':<28} {'mode':<6} {'records':>7} {'values':>6} {'witnesses':>9} "
                  f"{'stats':>5} {'verdicts':>8}  max float diff")
     for (kind, mode), (n, values, witnesses, stats, verdicts, worst) in sorted(rows.items()):
         lines.append(f"{kind:<28} {mode:<6} {n:>7} {values:>6} {witnesses:>9} "
                      f"{stats:>5} {verdicts:>8}  {worst:.3g}")
+    lines.append(f"{'stat totals':<28} {'mode':<6} {'LPs before -> after':>21} "
+                 f"{'supports before -> after':>25} {'more LPs':>8}")
+    for (kind, mode), (lps_a, lps_b, sup_a, sup_b, more) in sorted(totals.items()):
+        lines.append(f"{kind:<28} {mode:<6} {lps_a:>10} -> {lps_b:<7} "
+                     f"{sup_a:>12} -> {sup_b:<9} {more:>8}")
     missing = sorted(a.keys() ^ b.keys())
     failed = sorted(key for key, rec in b.items() if rec["verdict"] is False)
     lines += [f"missing from one run: {key}" for key in missing]
