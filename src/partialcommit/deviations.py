@@ -23,7 +23,8 @@ mass under column c that cell's best payoff in column c.  Both use the rule
 ``verify_mixed`` uses: a row stays unless a row of its cell is strictly
 better, moves to the best row (lowest index on ties), and rows or pairs with
 zero mass stay.  The identity plan is always available, so the reported
-gain is never negative.
+gain is never negative: a float gain within ``FLOAT_TOL`` times the payoff
+scale (the largest ``|u1|``, at least 1) is rounding and reads 0.
 """
 
 from __future__ import annotations
@@ -310,7 +311,7 @@ def find_deviation(
             target = [_best_row(cell_of(r), columns[c], r) if p[r][c] else r for c in range(n)]
             gain += sum(p[r][c] * (u1[t][c] - u1[r][c]) for c, t in enumerate(target))
             delta.append(_point_masses(target, m, mode))
-    if mode == "float" and abs(gain) < FLOAT_TOL:
+    if mode == "float" and abs(gain) <= FLOAT_TOL * max(1.0, *(abs(x) for row in u1 for x in row)):
         gain = 0.0
     return DeviationPlan(model=model, delta=delta, gain=gain)
 

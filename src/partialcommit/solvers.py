@@ -39,9 +39,13 @@ a proven upper bound for it cannot beat the best value already found:
   ceiling itself could not replace the best value.
 
 Both pair bounds hold since a profile's row part lies in P1(all rows, C_sup).
-So the pruned search reports the value and witness of the unpruned one, in
-both modes; ``tests/test_solvers.py`` keeps the unpruned search as its
-oracle.
+Two shortcuts change no outcome.  A pair (R', C') inside a pair (R, C) whose
+P2 came out empty is not walked: P2(R', C') embeds into P2(R, C) when R' ⊇ R
+and C' ⊆ C, since a supported row only adds ties at its cell's maximum and
+dropping columns takes a face.  A one-row P1 is the point x = e_r, so its tie
+rows are tested at x = 1 with no LP.  So the pruned search reports the value
+and witness of the unpruned one, in both modes; ``tests/test_solvers.py``
+keeps the unpruned search as its oracle.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ from .linprog import (
     INFEASIBLE,
     OPTIMAL,
     LinearProgram,
+    LpOutcome,
     Polytope,
     enumerate_vertices,
     solve_lp,
@@ -228,6 +233,7 @@ class _SupportSearch:
         self.best = None
         self.witness = None
         self._csup_cap: dict = {}
+        self._empty: list = []  # (row mask, column mask) of each pair with an empty P2
         # None when no column is ever a best response; then no pair survives
         caps = [self.csup_cap((c,)) for c in range(self.n)]
         self.ceiling = max((cap for cap in caps if cap is not None), default=None)
@@ -253,10 +259,21 @@ class _SupportSearch:
         if csup not in self._csup_cap:
             rows = range(self.m)
             weights = [max(self.u1[r][c] for c in csup) for r in rows]
-            out = solve_lp(self._p1_lp(rows, csup, weights), self.mode)
-            self.stats.lps_solved += 1
+            out = self._solve_p1(rows, csup, weights)
             self._csup_cap[csup] = out.value if out.status == OPTIMAL else None
         return self._csup_cap[csup]
+
+    def _solve_p1(self, rsup, csup, weights) -> LpOutcome:
+        """P1 over rsup maximizing ``weights``.  One row is the point e_r, its
+        weight the value, tested with ``enumerate_vertices``' tolerances."""
+        if len(rsup) > 1:
+            self.stats.lps_solved += 1
+            return solve_lp(self._p1_lp(rsup, csup, weights), self.mode)
+        tol = tolerance(self.mode)
+        rows = _tie_rows(self.u2t, rsup, csup, (range(self.n),))
+        if any(a > tol if rel == "<=" else abs(a) > tol for (a,), rel, _ in rows):
+            return LpOutcome(INFEASIBLE)
+        return LpOutcome(OPTIMAL, weights[0], (to_mode(1, self.mode),))
 
     # -- main loop ----------------------------------------------------------
 
@@ -290,10 +307,15 @@ class _SupportSearch:
         if cap is None or (best is not None and cap <= best):
             return False
 
-        for vert in enumerate_vertices(self._p2_polytope(rsup, csup), self.mode):
+        rbits, cbits = (sum(1 << a for a in sup) for sup in (rsup, csup))
+        if any(not r & ~rbits and not cbits & ~c for r, c in self._empty):
+            return False  # inside a recorded empty P2
+        verts = enumerate_vertices(self._p2_polytope(rsup, csup), self.mode)
+        if not verts:
+            self._empty.append((rbits, cbits))
+        for vert in verts:
             weights = [sum(self.u1[r][c] * vert[j] for j, c in enumerate(csup)) for r in rsup]
-            out = solve_lp(self._p1_lp(rsup, csup, weights), self.mode)
-            self.stats.lps_solved += 1
+            out = self._solve_p1(rsup, csup, weights)
             if out.status == INFEASIBLE:
                 break  # P1 does not depend on the vertex
             if self._improves(out.value):

@@ -371,6 +371,19 @@ class TestFindDeviation:
         assert plan_is_undetectable(game, prof, plan, "float")
         assert abs(plan_gain(game, prof, plan, "float") - plan.gain) <= 1e-9 * 1e8
 
+    def test_float_gain_is_never_negative_at_payoff_scale(self):
+        # at payoffs x1e8 the no-reveal optimum of the float SESLO witness
+        # lands 1.49e-8 below the witness's own payoff: rounding at that
+        # scale, but past the absolute FLOAT_TOL, so it read as a loss
+        base = gen_random(5, 5, 2, 22)
+        u1, u2 = ([[x * 1e8 for x in row] for row in u] for u in (base.u1, base.u2))
+        game = Game(u1, u2, base.partition)
+        prof = solve_seslo(game, "float").witness
+        for model in SignalModel:
+            plan = find_deviation(game, prof, model, "float")
+            assert plan.gain >= 0, model
+            assert abs(plan_gain(game, prof, plan, "float") - plan.gain) <= 1e-9 * 1e8, model
+
     def test_plan_row_sums_validated(self):
         with pytest.raises(Exception):
             DeviationPlan(SignalModel.NO_REVEAL, [[F(1, 2), 0], [0, 1]], 0)

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 import random
@@ -560,6 +561,31 @@ class TestPruningSoundness:
                 assert v1 == v2, case
                 assert (w1.sigma1, w1.sigma2) == (w2.sigma1, w2.sigma2), case
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_emptiness_rule_skips_walks(self, mode, monkeypatch):
+        # a pair inside one whose P2 came out empty is not walked; a search
+        # that records no empty pair walks it, and both match the oracle
+        class NoRecords(list):
+            def append(self, item):
+                pass
+
+        walks = []
+        enumerate_all = solvers.enumerate_vertices
+        monkeypatch.setattr(solvers, "enumerate_vertices",
+                            lambda poly, mode: walks.append(poly) or enumerate_all(poly, mode))
+        game = gen_example(EXAMPLE_4X2)
+        results = []
+        for records in (list, NoRecords):
+            walks.clear()
+            search = solvers._SupportSearch(game, mode)
+            search._empty = records()
+            value, witness, _ = search.run()
+            results.append((len(walks), value, witness.sigma1, witness.sigma2))
+        (pruned, *found), (walked, *unrecorded) = results
+        assert pruned < walked
+        value, witness = unpruned_search(game, mode)
+        assert found == unrecorded == [value, witness.sigma1, witness.sigma2]
+
 
 def _bound_games():
     """The examples under their own, one-cell and singleton partitions, and
@@ -613,6 +639,48 @@ class TestPruningBounds:
             assert search.stats.lps_solved == before + 1, csup
             search.csup_cap(csup)
             assert search.stats.lps_solved == before + 1, csup
+
+
+def _outcome(out):
+    return out.status, repr(out.value), repr(out.solution)
+
+
+class TestOneRowP1:
+    """A one-row P1 is the point x = e_r: ``_solve_p1`` tests its tie rows at
+    x = 1 and gives ``solve_lp``'s status, value and solution with no LP."""
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("a", [0.0, 5e-10, 2e-9, 5e-9, 2e-8, 0.25])
+    def test_matches_solve_lp_at_the_tolerance_edges(self, mode, a):
+        # row 0's column payoffs: column 1 differs from column 0 by ±a (an
+        # "=" row when both are supported, a "<=" row otherwise), and
+        # column 2 is worse than both
+        for coef in (a, -a):
+            u1 = [[0.7, 0.2, 0.1], [0.0, 0.0, 0.0]]
+            u2 = [[0.0, coef, -1.0], [1.0, 0.0, 0.0]]
+            search = solvers._SupportSearch(Game(u1, u2, SISPartition.one_cell(2)), mode)
+            for csup in [(0,), (1,), (0, 1)]:
+                weights = [search.u1[0][csup[0]]]
+                lps = search.stats.lps_solved
+                got = search._solve_p1((0,), csup, weights)
+                assert search.stats.lps_solved == lps
+                want = solve_lp(search._p1_lp((0,), csup, weights), mode)
+                assert _outcome(got) == _outcome(want), (coef, csup)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_matches_solve_lp_on_random_games(self, mode):
+        feasible = 0
+        for seed in range(10):
+            search = solvers._SupportSearch(gen_random(4, 3, 2, seed), mode)
+            for r in range(4):
+                for k in (1, 2, 3):
+                    for csup in itertools.combinations(range(3), k):
+                        weights = [search.u1[r][csup[-1]]]
+                        got = search._solve_p1((r,), csup, weights)
+                        want = solve_lp(search._p1_lp((r,), csup, weights), mode)
+                        assert _outcome(got) == _outcome(want), (seed, r, csup)
+                        feasible += got.status == OPTIMAL
+        assert feasible > 0
 
 
 class TestX3CEquivalenceSmall:

@@ -13,7 +13,8 @@ solved for all five concepts in both modes; each witness is checked again by
 the verifier the CLI ``verify`` command runs; the SESLO witness is searched
 for deviations under all three signal models; and a few CLI calls run
 in-process.  A record holds the value repr, the witness repr, the LPs solved,
-the supports examined and the verifier verdict; a deviation plan's verdict is
+the supports examined, the polytope walks (``enumerate_vertices`` calls, 0 for
+the LP concepts) and the verifier verdict; a deviation plan's verdict is
 ``plan_is_undetectable`` together with ``plan_gain`` equal to the plan's gain
 (exactly in exact mode, within ``1e-9·(1+|g|)`` in float mode).  A CLI record
 holds the sha256 of its stdout and, as its verdict, whether it exited 0.
@@ -21,7 +22,9 @@ holds the sha256 of its stdout and, as its verdict, whether it exited 0.
 ``--diff`` prints, by concept and mode, how many values, witnesses, stats
 (LPs or supports) and verdicts moved and the largest float difference, after
 listing every moved exact value; then, for each solver concept and mode, the
-summed LPs and supports of both runs and how many records solved more LPs.
+summed LPs, walks and supports of both runs and how many records solved more
+LPs.  A run whose records carry no walk count (an older checkout) shows its
+walk totals as ``?``.
 It exits 1 when a record of the second run has a failing verdict or a record
 is missing from either run.
 """
@@ -41,7 +44,7 @@ from fractions import Fraction
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from partialcommit import cli  # noqa: E402
+from partialcommit import cli, solvers  # noqa: E402
 from partialcommit.deviations import (  # noqa: E402
     SignalModel,
     find_deviation,
@@ -112,14 +115,32 @@ def _verified_game(game: Game, concept: str) -> Game:
 
 
 def _record(kind, game, mode, value=None, witness=None, lps=None, supports=None,
-            verdict=None) -> dict:
+            walks=None, verdict=None) -> dict:
     return {
         "kind": kind, "game": game, "mode": mode,
         "value": None if value is None else repr(value),
         "value_float": None if value is None else float(value),
         "witness": None if witness is None else repr(witness),
-        "lps": lps, "supports": supports, "verdict": verdict,
+        "lps": lps, "supports": supports, "walks": walks, "verdict": verdict,
     }
+
+
+def _solve_counting_walks(solve, game: Game, mode: str):
+    """``solve(game, mode)`` and the number of polytope walks it made, counted
+    by wrapping ``solvers.enumerate_vertices``."""
+    walks = 0
+    enumerate_all = solvers.enumerate_vertices
+
+    def counted(poly, mode):
+        nonlocal walks
+        walks += 1
+        return enumerate_all(poly, mode)
+
+    solvers.enumerate_vertices = counted
+    try:
+        return solve(game, mode), walks
+    finally:
+        solvers.enumerate_vertices = enumerate_all
 
 
 def _plan_holds(game: Game, profile, plan, mode: str) -> bool:
@@ -134,11 +155,11 @@ def solve_records(name: str, game: Game) -> dict:
     for mode in MODES:
         seslo_witness = None
         for solve in SOLVERS:
-            report = solve(game, mode)
+            report, walks = _solve_counting_walks(solve, game, mode)
             concept = report.concept
             out[f"{name}|{concept}|{mode}"] = _record(
                 concept, name, mode, report.value, report.witness,
-                report.stats.lps_solved, report.stats.supports_examined,
+                report.stats.lps_solved, report.stats.supports_examined, walks,
                 report.verifier_passed,
             )
             target = _verified_game(game, concept)
@@ -216,12 +237,16 @@ def diff(a: dict, b: dict) -> tuple[list[str], int]:
         if rb["mode"] == "float" and ra["value_float"] is not None:
             row[5] = max(row[5], abs(ra["value_float"] - rb["value_float"]))
         if ra["lps"] is not None and rb["lps"] is not None:
-            total = totals.setdefault((rb["kind"], rb["mode"]), [0, 0, 0, 0, 0])
+            total = totals.setdefault((rb["kind"], rb["mode"]), [0, 0, 0, 0, 0, 0, 0])
             total[0] += ra["lps"]
             total[1] += rb["lps"]
-            total[2] += ra["supports"]
-            total[3] += rb["supports"]
-            total[4] += rb["lps"] > ra["lps"]
+            for i, rec in ((2, ra), (3, rb)):
+                # no walk count in the record: this run's walk total is unknown
+                walks = rec.get("walks")
+                total[i] = None if total[i] is None or walks is None else total[i] + walks
+            total[4] += ra["supports"]
+            total[5] += rb["supports"]
+            total[6] += rb["lps"] > ra["lps"]
     lines = ["moved exact values:", *(moved_exact or ["  none"])]
     lines.append(f"{'concept':<28} {'mode':<6} {'records':>7} {'values':>6} {'witnesses':>9} "
                  f"{'stats':>5} {'verdicts':>8}  max float diff")
@@ -229,10 +254,13 @@ def diff(a: dict, b: dict) -> tuple[list[str], int]:
         lines.append(f"{kind:<28} {mode:<6} {n:>7} {values:>6} {witnesses:>9} "
                      f"{stats:>5} {verdicts:>8}  {worst:.3g}")
     lines.append(f"{'stat totals':<28} {'mode':<6} {'LPs before -> after':>21} "
-                 f"{'supports before -> after':>25} {'more LPs':>8}")
-    for (kind, mode), (lps_a, lps_b, sup_a, sup_b, more) in sorted(totals.items()):
+                 f"{'walks before -> after':>23} {'supports before -> after':>25} "
+                 f"{'more LPs':>8}")
+    for (kind, mode), (lps_a, lps_b, walks_a, walks_b, sup_a, sup_b, more) in sorted(
+            totals.items()):
+        walks_a, walks_b = ("?" if w is None else w for w in (walks_a, walks_b))
         lines.append(f"{kind:<28} {mode:<6} {lps_a:>10} -> {lps_b:<7} "
-                     f"{sup_a:>12} -> {sup_b:<9} {more:>8}")
+                     f"{walks_a:>12} -> {walks_b:<7} {sup_a:>12} -> {sup_b:<9} {more:>8}")
     missing = sorted(a.keys() ^ b.keys())
     failed = sorted(key for key, rec in b.items() if rec["verdict"] is False)
     lines += [f"missing from one run: {key}" for key in missing]
